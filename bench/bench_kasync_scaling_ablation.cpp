@@ -137,7 +137,8 @@ double engine_activations_per_second(std::size_t n, bool incremental, bool heap_
   sched::KAsyncScheduler sched(n, {.seed = 11, .heap_selection = heap_selection});
   core::EngineConfig cfg;
   cfg.visibility.radius = 1.0;
-  cfg.incremental_index = incremental;
+  cfg.snapshot_path =
+      incremental ? core::SnapshotPath::kIncremental : core::SnapshotPath::kRebuild;
   core::Engine engine(initial, algo, sched, cfg);
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t done = engine.run(activations);

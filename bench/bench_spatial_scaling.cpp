@@ -1,7 +1,8 @@
 // E13 — spatial-index scaling: engine throughput across the three snapshot
-// paths — brute-force reference (EngineConfig::use_spatial_index = false),
-// per-Look-time grid rebuild (incremental_index = false) and incremental
-// cell maintenance (the default) — across swarm sizes n in {16, 64, 256,
+// paths (EngineConfig::snapshot_path) — brute-force reference (kScan),
+// per-Look-time grid rebuild (kRebuild, what run::instantiate picks for
+// synchronous schedulers) and incremental cell maintenance (kIncremental,
+// picked for asynchronous ones) — across swarm sizes n in {16, 64, 256,
 // 1024, 4096}. All three produce bit-identical traces (see
 // tests/core/engine_equivalence_test.cpp); only the work per Look differs:
 //
@@ -36,18 +37,16 @@ namespace {
 
 constexpr std::size_t kActivationsPerRobot = 8;
 
-enum class Mode { kBrute, kRebuild, kIncremental };
+using Mode = core::SnapshotPath;
 
-core::EngineConfig config_for(Mode mode, bool soa = false) {
+core::EngineConfig config_for(Mode mode) {
   core::EngineConfig cfg;
   cfg.visibility.radius = 1.0;
-  cfg.use_spatial_index = mode != Mode::kBrute;
-  cfg.incremental_index = mode == Mode::kIncremental;
-  cfg.soa_kernel = soa;
+  cfg.snapshot_path = mode;
   return cfg;
 }
 
-void run_fsync(benchmark::State& state, Mode mode, bool soa = false) {
+void run_fsync(benchmark::State& state, Mode mode) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const algo::KknpsAlgorithm algo({.k = 1});
   const auto initial =
@@ -56,7 +55,7 @@ void run_fsync(benchmark::State& state, Mode mode, bool soa = false) {
   for (auto _ : state) {
     state.PauseTiming();
     sched::FSyncScheduler sched(n);
-    core::Engine engine(initial, algo, sched, config_for(mode, soa));
+    core::Engine engine(initial, algo, sched, config_for(mode));
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.run(activations));
   }
@@ -64,8 +63,7 @@ void run_fsync(benchmark::State& state, Mode mode, bool soa = false) {
                           static_cast<int64_t>(activations));
 }
 
-void run_kasync(benchmark::State& state, Mode mode, bool heap_selection = false,
-                bool soa = false) {
+void run_kasync(benchmark::State& state, Mode mode, bool heap_selection = false) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const algo::KknpsAlgorithm algo({.k = 1});
   const auto initial =
@@ -74,7 +72,7 @@ void run_kasync(benchmark::State& state, Mode mode, bool heap_selection = false,
   for (auto _ : state) {
     state.PauseTiming();
     sched::KAsyncScheduler sched(n, {.seed = 11, .heap_selection = heap_selection});
-    core::Engine engine(initial, algo, sched, config_for(mode, soa));
+    core::Engine engine(initial, algo, sched, config_for(mode));
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.run(activations));
   }
@@ -87,10 +85,10 @@ void run_kasync(benchmark::State& state, Mode mode, bool heap_selection = false,
 // and still measures exactly that path.
 void BM_FSyncGrid(benchmark::State& state) { run_fsync(state, Mode::kRebuild); }
 void BM_FSyncIncremental(benchmark::State& state) { run_fsync(state, Mode::kIncremental); }
-void BM_FSyncBrute(benchmark::State& state) { run_fsync(state, Mode::kBrute); }
+void BM_FSyncBrute(benchmark::State& state) { run_fsync(state, Mode::kScan); }
 void BM_KAsyncGrid(benchmark::State& state) { run_kasync(state, Mode::kRebuild); }
 void BM_KAsyncIncremental(benchmark::State& state) { run_kasync(state, Mode::kIncremental); }
-void BM_KAsyncBrute(benchmark::State& state) { run_kasync(state, Mode::kBrute); }
+void BM_KAsyncBrute(benchmark::State& state) { run_kasync(state, Mode::kScan); }
 // The full PR 3 fast path: incremental index + the scheduler's opt-in
 // O(log n) heap selection (Params::heap_selection; a different but equally
 // valid seeded stream). With both O(n)-per-activation costs gone this is
@@ -98,24 +96,7 @@ void BM_KAsyncBrute(benchmark::State& state) { run_kasync(state, Mode::kBrute); 
 void BM_KAsyncFast(benchmark::State& state) {
   run_kasync(state, Mode::kIncremental, /*heap_selection=*/true);
 }
-// PR 9 SoA snapshot kernel (EngineConfig::soa_kernel) A/B pairs, same
-// binary, registered adjacent to their scalar twins so an interleaved run
-// measures both under the same thermal/clock conditions. FSync pairs with
-// the rebuild path (under FSync the incremental path's cross-round
-// position memoization beats re-evaluating segment lanes, so grid + SoA is
-// the honest win there); KAsync pairs with BM_KAsyncFast, the production
-// configuration. Both produce bit-identical traces to their twins —
-// enforced by the soa_certification battery (architecture contract 12).
-void BM_FSyncSoA(benchmark::State& state) {
-  run_fsync(state, Mode::kRebuild, /*soa=*/true);
-}
-void BM_KAsyncFastSoA(benchmark::State& state) {
-  run_kasync(state, Mode::kIncremental, /*heap_selection=*/true, /*soa=*/true);
-}
-
 BENCHMARK(BM_FSyncGrid)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FSyncSoA)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FSyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
@@ -126,8 +107,6 @@ BENCHMARK(BM_KAsyncGrid)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
 BENCHMARK(BM_KAsyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KAsyncFast)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_KAsyncFastSoA)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KAsyncBrute)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);

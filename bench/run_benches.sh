@@ -363,78 +363,6 @@ else
   echo "cohesion_run or bench/specs/kasync_sweep.json missing; skipping cache sweep" >&2
 fi
 
-# SoA snapshot-kernel A/B (architecture contract 12): the scalar and SoA
-# kernels live in the same binary (EngineConfig::soa_kernel), so
-# bench_spatial_scaling re-runs the two A/B pairs at n=4096 —
-# BM_FSyncGrid vs BM_FSyncSoA and BM_KAsyncFast vs BM_KAsyncFastSoA —
-# interleaved with repetitions, immune to the clock drift that makes
-# cross-binary comparisons meaningless here. Alongside the timing, the
-# declarative kasync sweep is run once with soa_kernel on: its report
-# must equal the scalar report except for the spec echo (the run-layer
-# face of the bit-identity contract; the per-build certification lives in
-# the soa_certification ctest test). Medians and speedups land under
-# soa_sweep.
-SOA_JSON="$OUT_DIR/soa_sweep_timing.json"
-rm -f "$SOA_JSON"
-if [ -x "$BUILD_DIR/bench_spatial_scaling" ] && [ -x "$BUILD_DIR/cohesion_run" ] \
-   && [ -f bench/specs/kasync_sweep.json ]; then
-  echo "== soa sweep (scalar vs SoA kernel: same-binary n=4096 A/B + report byte-identity)"
-  "$BUILD_DIR/bench_spatial_scaling" \
-      --benchmark_filter='(BM_FSyncGrid|BM_FSyncSoA|BM_KAsyncFast|BM_KAsyncFastSoA)/4096' \
-      --benchmark_min_time="${BENCH_SOA_MIN_TIME:-0.3}" \
-      --benchmark_repetitions="${BENCH_SOA_REPETITIONS:-5}" \
-      --benchmark_report_aggregates_only \
-      --benchmark_format=json --benchmark_out="$OUT_DIR/soa_ab.json" \
-      --benchmark_out_format=json > /dev/null
-  python3 - bench/specs/kasync_sweep.json "$OUT_DIR/soa_spec.json" <<'EOF'
-import json, sys
-spec = json.load(open(sys.argv[1]))
-spec["base"]["soa_kernel"] = True  # the only knob that may differ in the A/B
-json.dump(spec, open(sys.argv[2], "w"), indent=2)
-EOF
-  "$BUILD_DIR/cohesion_run" bench/specs/kasync_sweep.json --no-timing \
-      --out "$OUT_DIR/soa_scalar_report.json" 2> /dev/null
-  "$BUILD_DIR/cohesion_run" "$OUT_DIR/soa_spec.json" --no-timing \
-      --out "$OUT_DIR/soa_kernel_report.json" 2> /dev/null
-  python3 - "$OUT_DIR/soa_scalar_report.json" "$OUT_DIR/soa_kernel_report.json" <<'EOF'
-import json, sys
-scalar, soa = (json.load(open(p)) for p in sys.argv[1:3])
-flag = soa.get("experiment", {}).get("base", {}).pop("soa_kernel", None)
-if flag is not True:
-    sys.exit("ERROR: SoA sweep report does not echo soa_kernel=true — wrong spec ran")
-if scalar != soa:
-    sys.exit("ERROR: SoA-kernel sweep report differs from the scalar report "
-             "(bit-identity contract 12 violated at the run layer)")
-EOF
-  echo "   bit-identity: soa_kernel sweep report == scalar report (spec echo aside)"
-  python3 - "$SOA_JSON" "$OUT_DIR/soa_ab.json" <<'EOF'
-import json, sys
-
-target, ab_path = sys.argv[1:3]
-data = json.load(open(ab_path))
-medians = {
-    b["name"].replace("/4096_median", ""): b["items_per_second"]
-    for b in data.get("benchmarks", [])
-    if b.get("run_type") == "aggregate" and b.get("aggregate_name") == "median"
-    and "items_per_second" in b
-}
-def speedup(soa, scalar):
-    if medians.get(scalar, 0) > 0 and soa in medians:
-        return round(medians[soa] / medians[scalar], 3)
-    return None
-json.dump({
-    "benchmark": "bench_spatial_scaling n=4096, median of repetitions, same binary",
-    "median_activations_per_second": {k: round(v, 1) for k, v in medians.items()},
-    "speedup_fsync_soa_over_grid": speedup("BM_FSyncSoA", "BM_FSyncGrid"),
-    "speedup_kasync_fast_soa_over_fast": speedup("BM_KAsyncFastSoA", "BM_KAsyncFast"),
-    "report_byte_identity": "pass",
-}, open(target, "w"))
-EOF
-  rm -f "$OUT_DIR/soa_spec.json"
-else
-  echo "bench_spatial_scaling/cohesion_run or bench/specs/kasync_sweep.json missing; skipping soa sweep" >&2
-fi
-
 # Served sweep through the cohesion_serve work-queue daemon: the same spec
 # submitted to a daemon feeding two workers, one of which is SIGKILLed
 # mid-run (no flush, no release — a true crash). The daemon must observe
@@ -558,12 +486,6 @@ if cache.exists():
     summary["context"] += ("; cache_sweep: result cache cold vs warm vs edit-one-axis "
                            "(byte-compared)")
     cache.unlink()
-soa = out_dir / "soa_sweep_timing.json"
-if soa.exists():
-    summary["soa_sweep"] = json.loads(soa.read_text())
-    summary["context"] += ("; soa_sweep: scalar vs SoA snapshot kernel, same binary "
-                           "(medians of repeated n=4096 A/B, report byte-compared)")
-    soa.unlink()
 serve = out_dir / "serve_sweep_timing.json"
 if serve.exists():
     summary["serve_sweep"] = json.loads(serve.read_text())
@@ -598,11 +520,6 @@ if "cache_sweep" in summary:
     print(f"  cache sweep: {c['wall_seconds_cold']}s cold vs {c['wall_seconds_warm']}s warm "
           f"({c['warm_speedup']}x), edit-one-axis {c['wall_seconds_edited_warm']}s warm vs "
           f"{c['wall_seconds_edited_cold_nocache']}s cold ({c['edited_hit_runs']}/64 hits)")
-if "soa_sweep" in summary:
-    s = summary["soa_sweep"]
-    print(f"  soa sweep: KAsyncFast SoA/scalar {s['speedup_kasync_fast_soa_over_fast']}x, "
-          f"FSync SoA/grid {s['speedup_fsync_soa_over_grid']}x "
-          f"(n=4096 medians, report byte-identity {s['report_byte_identity']})")
 if "serve_sweep" in summary:
     s = summary["serve_sweep"]
     print(f"  serve sweep: {s['wall_seconds_served_faulted']}s served by {s['workers']} workers "

@@ -32,20 +32,14 @@ Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler&
       rng_(config_.seed) {
   if (trace_.robot_count() == 0) throw std::invalid_argument("Engine: empty configuration");
   if (!config_.record_history) {
-    if (!config_.use_spatial_index) {
+    if (config_.snapshot_path == SnapshotPath::kScan) {
       throw std::invalid_argument(
-          "Engine: record_history = false requires use_spatial_index — the reference "
-          "scan path reconstructs positions from the Trace");
+          "Engine: record_history = false is unavailable on SnapshotPath::kScan — the "
+          "reference scan reconstructs positions from the Trace");
     }
     // The scheduler's 1e-12 look-ordering slack can query one segment back;
     // without a Trace that history must live in the kinematic state.
     kin_.set_keep_previous(true);
-  }
-  if (config_.soa_kernel && !config_.use_spatial_index) {
-    throw std::invalid_argument(
-        "Engine: soa_kernel requires use_spatial_index — the SoA filter sits "
-        "behind the grid candidate queries, and the brute-force scan is the "
-        "scalar reference it is certified against");
   }
   double max_radius = config_.visibility.radius;
   if (!config_.visibility.per_robot_radii.empty()) {
@@ -53,13 +47,12 @@ Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler&
                                    config_.visibility.per_robot_radii.end());
   }
   grid_.set_cell_size(max_radius);
-  if (config_.use_spatial_index && config_.incremental_index) {
+  if (config_.snapshot_path == SnapshotPath::kIncremental) {
     kin_.set_track_dirty(true);
     inc_grid_.reset(max_radius, trace_.initial_configuration());
     positions_now_.resize(trace_.robot_count());
     pos_epoch_.assign(trace_.robot_count(), 0);
   }
-  if (config_.soa_kernel) soa_segments_.reset(trace_.initial_configuration());
 }
 
 Vec2 Engine::history_position(RobotId robot, Time t) const {
@@ -67,7 +60,7 @@ Vec2 Engine::history_position(RobotId robot, Time t) const {
 }
 
 Vec2 Engine::position(RobotId robot, Time t) const {
-  if (config_.use_spatial_index && t >= kin_.segment_start(robot)) {
+  if (config_.snapshot_path != SnapshotPath::kScan && t >= kin_.segment_start(robot)) {
     return kin_.position_at(robot, t);
   }
   return history_position(robot, t);
@@ -93,16 +86,6 @@ void Engine::snapshot_via_grid(RobotId robot, Time t, const LocalFrame& frame, S
   refresh_grid(t);
   const Vec2 self = positions_now_[robot];
   const double v = config_.visibility.radius_of(robot);
-  if (config_.soa_kernel) {
-    // SoA kernel: pull the same cell window unfiltered, gather the instant
-    // positions into lanes, and let the certified squared-distance filter
-    // make the (exact) visibility decisions.
-    grid_.candidates_within(self, v, neighbor_ids_);
-    soa_filter_.gather_positions(positions_now_, neighbor_ids_, robot);
-    soa_filter_.filter(self, v, config_.visibility.open_ball);
-    append_soa_survivors(frame, snap);
-    return;
-  }
   grid_.neighbors_within(self, v, config_.visibility.open_ball, neighbor_ids_);
   snap.neighbours.reserve(neighbor_ids_.size());
   for (const std::size_t other : neighbor_ids_) {
@@ -155,16 +138,6 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& f
   const Vec2 self = cached_position(robot);
   const double v = config_.visibility.radius_of(robot);
   inc_grid_.candidates_near(self, v, neighbor_ids_);
-  if (config_.soa_kernel) {
-    // SoA kernel: evaluate every candidate's segment at t straight from the
-    // SoA lanes (KinematicState::eval's exact arithmetic, vectorizably —
-    // no per-candidate epoch bookkeeping), then filter with the certified
-    // squared-distance bounds.
-    soa_filter_.gather_segments(soa_segments_, neighbor_ids_, robot, t);
-    soa_filter_.filter(self, v, config_.visibility.open_ball);
-    append_soa_survivors(frame, snap);
-    return;
-  }
   snap.neighbours.reserve(neighbor_ids_.size());
   for (const std::size_t other : neighbor_ids_) {
     if (other == robot) continue;
@@ -189,17 +162,6 @@ void Engine::snapshot_via_scan(RobotId robot, Time t, const LocalFrame& frame, S
     const bool visible = config_.visibility.open_ball ? (d < v) : (d <= v + kVisibilityEpsilon);
     if (!visible) continue;
     snap.neighbours.push_back({frame.perceive(p - self, rng_), false});
-  }
-}
-
-void Engine::append_soa_survivors(const LocalFrame& frame, Snapshot& snap) {
-  const std::size_t m = soa_filter_.survivor_count();
-  snap.neighbours.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    // Survivors are ascending by robot id with self removed, and the stored
-    // offset lanes are the scalar paths' `p - self` bit for bit — so this
-    // perceive() loop draws RNG in exactly the scalar order and values.
-    snap.neighbours.push_back({frame.perceive(soa_filter_.survivor_offset(i), rng_), false});
   }
 }
 
@@ -245,12 +207,16 @@ void Engine::resolve_multiplicity(Snapshot& snap) {
 
 Snapshot Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame) {
   Snapshot snap;
-  if (!config_.use_spatial_index) {
-    snapshot_via_scan(robot, t, frame, snap);
-  } else if (config_.incremental_index) {
-    snapshot_via_incremental(robot, t, frame, snap);
-  } else {
-    snapshot_via_grid(robot, t, frame, snap);
+  switch (config_.snapshot_path) {
+    case SnapshotPath::kIncremental:
+      snapshot_via_incremental(robot, t, frame, snap);
+      break;
+    case SnapshotPath::kRebuild:
+      snapshot_via_grid(robot, t, frame, snap);
+      break;
+    case SnapshotPath::kScan:
+      snapshot_via_scan(robot, t, frame, snap);
+      break;
   }
   resolve_multiplicity(snap);
   return snap;
@@ -294,7 +260,6 @@ bool Engine::step() {
   ActivationRecord rec{a, self, planned, realized, snap.size()};
   if (config_.record_history) trace_.record(rec);
   kin_.commit(rec);
-  if (config_.soa_kernel) soa_segments_.commit(rec);
   if (sink_) sink_->append(rec);
   end_time_ = std::max(end_time_, a.t_move_end);
   // A commit leaves every position at its own Look time unchanged — except
@@ -348,7 +313,7 @@ std::vector<Vec2> Engine::current_configuration() const {
   // nothing further is scheduled". That instant is at or after every
   // committed Look, so the kinematic cache answers in O(n) total.
   const Time t = end_time_ + 1.0;
-  if (!config_.use_spatial_index) return trace_.configuration(t);
+  if (config_.snapshot_path == SnapshotPath::kScan) return trace_.configuration(t);
   std::vector<Vec2> out(trace_.robot_count());
   for (RobotId r = 0; r < out.size(); ++r) out[r] = kin_.position_at(r, t);
   return out;

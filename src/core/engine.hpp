@@ -18,17 +18,24 @@
 //    an O(1) interpolation of that segment, bit-identical to what the Trace
 //    would reconstruct.
 //
-// Each Look evaluates all current positions once through the cache, indexes
-// them in a uniform grid (SpatialGrid, cell side = the visibility radius),
-// and builds the snapshot from the <= 3x3 cells around the looking robot
-// instead of scanning all n robots. Consecutive Looks at the same time
-// (synchronous rounds) reuse the same grid: a commit leaves every position
-// at its own Look time unchanged, except a zero-duration move — which drops
-// the cached grid (see Engine::step). The pre-index brute-force path
-// is kept, selectable via EngineConfig::use_spatial_index = false, as the
-// reference for equivalence tests and speedup benchmarks; both paths apply
-// the identical visibility predicate and draw RNG in the identical order,
-// so they produce bit-identical traces.
+// Snapshots enumerate candidates from a uniform grid (cell side = the
+// visibility radius) instead of scanning all n robots, and the grid's upkeep
+// follows the paper's split between schedule classes (SnapshotPath):
+//
+//  * synchronous schedulers (FSync/SSync) put every Look of a round at one
+//    instant, so a SpatialGrid rebuilt once per distinct Look time amortizes
+//    over the whole round. A commit leaves every position at its own Look
+//    time unchanged, except a zero-duration move — which drops the cached
+//    grid (see Engine::step);
+//  * asynchronous schedulers give every Look its own time, so an
+//    IncrementalGrid re-buckets only the robots whose segment changed.
+//
+// run::instantiate derives the path from the scheduler key; it is not a
+// spec field. The brute-force scan over the Trace is the third value, kept
+// as the reference for equivalence tests and scaling benchmarks (and as the
+// incremental path's fallback for Looks inside the scheduler's 1e-12
+// backward slack). All paths apply the identical visibility predicate and
+// draw RNG in the identical order, so they produce bit-identical traces.
 #pragma once
 
 #include <functional>
@@ -41,7 +48,6 @@
 #include "core/error_model.hpp"
 #include "core/kinematics.hpp"
 #include "core/scheduler.hpp"
-#include "core/soa_pool.hpp"
 #include "core/spatial_index.hpp"
 #include "core/stop_condition.hpp"
 #include "core/trace.hpp"
@@ -62,39 +68,33 @@ struct VisibilityModel {
   }
 };
 
+/// How the engine enumerates a Look's visible neighbors. All three are
+/// bit-identical (docs/architecture.md, contract 3); they differ only in
+/// cost.
+enum class SnapshotPath {
+  /// IncrementalGrid maintained per commit — asynchronous schedulers, whose
+  /// Looks never share a time.
+  kIncremental,
+  /// SpatialGrid rebuilt once per distinct Look time — synchronous
+  /// schedulers, where one rebuild serves a whole round.
+  kRebuild,
+  /// Brute-force scan over the Trace: the test and benchmark reference.
+  kScan,
+};
+
 struct EngineConfig {
   VisibilityModel visibility;
   ErrorModel error;
   std::uint64_t seed = 1;
-  /// Grid + kinematic-cache hot path. false selects the reference
-  /// brute-force scan over the Trace (bit-identical results, O(n log k)
-  /// per snapshot) — used by equivalence tests and scaling benchmarks.
-  bool use_spatial_index = true;
-  /// Incremental cell maintenance (IncrementalGrid): robots are re-bucketed
-  /// only when their trajectory segment changes, so async schedulers —
-  /// whose every Look has a distinct time — stop paying an O(n) grid
-  /// rebuild per activation. false selects the per-Look-time full rebuild,
-  /// kept as the bit-identical reference for equivalence tests and the
-  /// incremental-vs-rebuild benchmark axis. Ignored when use_spatial_index
-  /// is false.
-  bool incremental_index = true;
-  /// Structure-of-arrays snapshot kernel (src/core/soa_pool): candidate
-  /// positions are gathered into parallel coordinate lanes — evaluated
-  /// straight from an SoA segment pool on the incremental path — and
-  /// pre-filtered by a vectorizable squared-distance loop against certified
-  /// conservative bounds; only the narrow borderline band re-runs the exact
-  /// hypot predicate, so results stay bit-identical to the scalar reference
-  /// (architecture contract 12, certified by tests/core/soa_equivalence_
-  /// test.cpp under ASan and -march=native). false keeps the scalar
-  /// reference paths, which remain the default. Requires use_spatial_index
-  /// — the kernel sits behind the grid candidate queries.
-  bool soa_kernel = false;
+  /// run::instantiate picks kRebuild for synchronous scheduler keys and
+  /// kIncremental for the rest; the default suits direct Engine users.
+  SnapshotPath snapshot_path = SnapshotPath::kIncremental;
   /// Materialize the full activation history in the in-memory Trace. false
   /// selects the bounded-memory mode: the engine keeps only each robot's
   /// current + previous trajectory segment (O(robot count) state, not
   /// O(activation count)); history consumers attach through
-  /// set_trace_sink() instead. Requires use_spatial_index — the reference
-  /// scan path reads the Trace by construction.
+  /// set_trace_sink() instead. Not available with SnapshotPath::kScan — the
+  /// reference scan reads the Trace by construction.
   bool record_history = true;
 };
 
@@ -169,9 +169,6 @@ class Engine final : public SimulationView {
   void snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
   /// Reference visible-neighbor enumeration: full scan over Trace positions.
   void snapshot_via_scan(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
-  /// Emit the SoA filter's survivors into the snapshot — the same
-  /// ascending-id perceive() sequence the scalar loops produce.
-  void append_soa_survivors(const LocalFrame& frame, Snapshot& snap);
   /// Collapse or flag co-located perceived robots (paper footnote 4).
   void resolve_multiplicity(Snapshot& snap);
   /// Ensure positions_now_/grid_ describe time `t`.
@@ -205,18 +202,13 @@ class Engine final : public SimulationView {
   Time grid_time_ = 0.0;
   bool grid_valid_ = false;
 
-  // Incremental path (config_.incremental_index): persistent buckets,
+  // Incremental path (SnapshotPath::kIncremental): persistent buckets,
   // per-robot position stamps instead of wholesale refreshes.
   IncrementalGrid inc_grid_;
   std::vector<std::uint64_t> pos_epoch_;  // positions_now_[r] valid iff == epoch_
   std::uint64_t epoch_ = 1;               // bumped whenever pos_time_ changes
   Time pos_time_ = 0.0;                   // time positions_now_ entries describe
   Time inc_time_ = 0.0;                   // last incremental query time
-
-  // SoA kernel (config_.soa_kernel): segment lanes mirroring kin_, and the
-  // gather/filter scratch. Empty when the scalar paths are selected.
-  SoaSegmentPool soa_segments_;
-  SoaNeighborFilter soa_filter_;
 };
 
 }  // namespace cohesion::core

@@ -144,38 +144,6 @@ void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-void SpatialGrid::candidates_within(geom::Vec2 q, double r,
-                                    std::vector<std::size_t>& out) const {
-  out.clear();
-  if (points_ == nullptr || next_.empty()) return;
-  const std::vector<geom::Vec2>& pts = *points_;
-
-  // Identical cell-window arithmetic to neighbors_within, so the returned
-  // set is exactly the set that query examines — predicate deferred.
-  const double rq = std::max(r, 0.0) + kVisibilityEpsilon;
-  const std::int64_t cx0 = cell_of(q.x - rq), cx1 = cell_of(q.x + rq);
-  const std::int64_t cy0 = cell_of(q.y - rq), cy1 = cell_of(q.y + rq);
-  const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
-  const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
-  if (span_x > 64 || span_y > 64 || span_x * span_y > pts.size() + 9) {
-    out.resize(pts.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) out[i] = i;
-    return;
-  }
-
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      const std::size_t slot = find_slot(cell_key(cx, cy));
-      if (slot_stamp_[slot] != stamp_) continue;
-      for (std::int32_t i = slot_head_[slot]; i >= 0; i = next_[i]) {
-        out.push_back(static_cast<std::size_t>(i));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-}
-
 // ---------------------------------------------------------------------------
 // IncrementalGrid
 // ---------------------------------------------------------------------------

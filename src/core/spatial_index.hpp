@@ -59,13 +59,6 @@ class SpatialGrid {
   void neighbors_within(geom::Vec2 q, double r, bool open_ball,
                         std::vector<std::size_t>& out) const;
 
-  /// Ids (ascending, unique) of every indexed point in the cells overlapping
-  /// the bounding square of the ball around `q` — the same cells
-  /// neighbors_within scans, without the predicate: a superset of both ball
-  /// variants for the caller (e.g. the SoA kernel) to filter exactly.
-  /// Includes the query point itself when indexed. `out` is overwritten.
-  void candidates_within(geom::Vec2 q, double r, std::vector<std::size_t>& out) const;
-
   [[nodiscard]] std::size_t size() const { return next_.size(); }
 
  private:

@@ -1,6 +1,6 @@
 #include "run/instantiate.hpp"
 
-#include <stdexcept>
+#include <string>
 
 #include "run/registry.hpp"
 
@@ -19,23 +19,13 @@ RunInstance instantiate(const RunSpec& spec) {
   inst.config.visibility.multiplicity_detection = spec.multiplicity_detection;
   inst.config.error = errors().get(spec.error.type)(spec.error.params);
   inst.config.seed = seeds.engine;
-  inst.config.use_spatial_index = spec.use_spatial_index;
-  inst.config.incremental_index = spec.incremental_index;
-  if (spec.soa_kernel && !spec.use_spatial_index) {
-    throw std::runtime_error(
-        "soa_kernel requires use_spatial_index: the SoA filter sits behind the "
-        "grid candidate queries (the scan path is its scalar reference)");
-  }
-  inst.config.soa_kernel = spec.soa_kernel;
-  if (spec.trace.mode != "memory") {
-    if (!spec.use_spatial_index) {
-      throw std::runtime_error(
-          "trace.mode \"" + spec.trace.mode +
-          "\" requires use_spatial_index: the reference scan path reconstructs positions "
-          "from the in-memory Trace it would no longer have");
-    }
-    inst.config.record_history = false;
-  }
+  // One snapshot path per schedule class: a synchronous round puts all its
+  // Looks at one instant, so one grid rebuild serves the round; every other
+  // scheduler gives each Look its own time and keeps the grid per commit.
+  const std::string& key = spec.scheduler.type;
+  inst.config.snapshot_path = key == "fsync" || key == "ssync" ? core::SnapshotPath::kRebuild
+                                                               : core::SnapshotPath::kIncremental;
+  inst.config.record_history = spec.trace.mode == "memory";
   inst.engine = std::make_unique<core::Engine>(inst.initial, *inst.algorithm, *inst.scheduler,
                                                inst.config);
   return inst;

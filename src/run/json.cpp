@@ -60,9 +60,16 @@ class Parser {
 
   Json parse_value() {
     const char c = peek();
+    if (c == '{' || c == '[') {
+      if (depth_ == Json::kMaxParseDepth) {
+        error("nesting depth exceeds " + std::to_string(Json::kMaxParseDepth));
+      }
+      ++depth_;
+      Json nested = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return nested;
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -238,6 +245,7 @@ class Parser {
   }
 
   std::string_view text_;
+  std::size_t depth_ = 0;  // open arrays/objects around the current value
   std::size_t pos_ = 0;
 };
 

@@ -49,8 +49,14 @@ class Json {
   static Json object() { return Json(JsonObject{}); }
   static Json array() { return Json(JsonArray{}); }
 
+  /// Deepest array/object nesting parse() accepts. The parser recurses per
+  /// level, so the bound is what keeps a hostile document (a wire line of a
+  /// million '[') from overflowing the stack.
+  static constexpr std::size_t kMaxParseDepth = 512;
+
   /// Parse a complete JSON document; throws std::runtime_error with a
-  /// character offset on malformed input or trailing garbage.
+  /// character offset on malformed input, trailing garbage, or nesting
+  /// deeper than kMaxParseDepth.
   static Json parse(std::string_view text);
   static Json parse_file(const std::string& path);
 

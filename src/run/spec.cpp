@@ -92,11 +92,6 @@ Json RunSpec::to_json() const {
   vis.set("open_ball", open_ball);
   vis.set("multiplicity", multiplicity_detection);
   j.set("visibility", vis);
-  j.set("use_spatial_index", use_spatial_index);
-  j.set("incremental_index", incremental_index);
-  // Echoed only when enabled: existing specs (and their fingerprints,
-  // cache keys and checkpoints) keep their exact bytes.
-  if (soa_kernel) j.set("soa_kernel", true);
   Json stop_j = Json::object();
   stop_j.set("epsilon", stop.epsilon);
   stop_j.set("max_activations", stop.max_activations);
@@ -124,9 +119,6 @@ RunSpec RunSpec::from_json(const Json& j) {
     s.open_ball = vis->bool_or("open_ball", s.open_ball);
     s.multiplicity_detection = vis->bool_or("multiplicity", s.multiplicity_detection);
   }
-  s.use_spatial_index = j.bool_or("use_spatial_index", s.use_spatial_index);
-  s.incremental_index = j.bool_or("incremental_index", s.incremental_index);
-  s.soa_kernel = j.bool_or("soa_kernel", s.soa_kernel);
   if (const Json* st = j.find("stop")) {
     s.stop.epsilon = st->number_or("epsilon", s.stop.epsilon);
     s.stop.max_activations =

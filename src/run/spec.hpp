@@ -84,7 +84,11 @@ struct TraceSpec {
 };
 
 /// Complete description of one run. Defaults reproduce the quickstart
-/// setup: KKNPS under k-Async on a random connected configuration.
+/// setup: KKNPS under k-Async on a random connected configuration. The
+/// engine's snapshot path is not a field: instantiate() derives it from the
+/// scheduler key. from_json ignores unknown keys, so spec files written when
+/// the path was user-selectable (docs/experiments.md) still parse — to the
+/// same identity, since every path was bit-identical.
 struct RunSpec {
   std::string name = "run";
   std::size_t n = 16;
@@ -96,14 +100,6 @@ struct RunSpec {
   double visibility_radius = 1.0;
   bool open_ball = false;
   bool multiplicity_detection = false;
-  bool use_spatial_index = true;
-  bool incremental_index = true;
-  /// SoA/SIMD snapshot kernel (EngineConfig::soa_kernel) — bit-identical to
-  /// the scalar reference by architecture contract 12. Requires
-  /// use_spatial_index; instantiate() rejects the combination otherwise.
-  /// Serialized only when true, so existing spec bytes, fingerprints and
-  /// cache keys are untouched.
-  bool soa_kernel = false;
   core::StopCondition stop;  ///< predicate is not serialized
   TraceSpec trace;           ///< history capture; default preserves old bytes
 
@@ -127,8 +123,8 @@ struct RunSpec {
 /// name, which is display identity, not physics — two sweeps that resolve a
 /// variant to the same spec (same seed included) must share one cache entry
 /// even though their labels differ. Everything that *does* change the
-/// dynamics (n, seed, factories + params, visibility, index flags, stop
-/// bounds) stays in the hash. The grid position (index/variant/repeat) is
+/// dynamics (n, seed, factories + params, visibility, stop bounds) stays
+/// in the hash. The grid position (index/variant/repeat) is
 /// never hashed; it only reaches the outcome through the derived seed.
 /// Caveats (same as the checkpoint fingerprint): the programmatic
 /// stop.predicate and the trace_metric hook are opaque C++ and cannot be

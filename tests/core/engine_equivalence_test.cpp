@@ -1,7 +1,9 @@
-// The spatially-indexed hot path must be indistinguishable from the
-// brute-force reference: same seeds -> same ActivationRecords, to the bit.
-// This holds because both paths examine the same visible set through the
-// same predicate and draw RNG in the same (ascending-id) order; these tests
+// Both grid snapshot paths (SnapshotPath::kRebuild, kIncremental) must be
+// indistinguishable from the brute-force reference scan (kScan): same seeds
+// -> same ActivationRecords, to the bit — in memory mode and in the
+// bounded-memory mode (record_history = false) stream runs use. This holds
+// because every path examines the same visible set through the same
+// predicate and draws RNG in the same (ascending-id) order; these tests
 // sweep schedulers, error models and visibility variants to pin that down.
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include "algo/baselines.hpp"
 #include "algo/kknps.hpp"
 #include "core/engine.hpp"
+#include "core/trace_sink.hpp"
 #include "metrics/configurations.hpp"
 #include "sched/asynchronous.hpp"
 #include "sched/synchronous.hpp"
@@ -23,11 +26,12 @@ namespace {
 
 using geom::Vec2;
 
-void expect_identical_traces(const Trace& grid, const Trace& brute, std::uint64_t seed) {
-  ASSERT_EQ(grid.records().size(), brute.records().size()) << "seed " << seed;
-  for (std::size_t i = 0; i < grid.records().size(); ++i) {
-    const ActivationRecord& g = grid.records()[i];
-    const ActivationRecord& b = brute.records()[i];
+void expect_identical_records(const std::vector<ActivationRecord>& grid,
+                              const std::vector<ActivationRecord>& brute, std::uint64_t seed) {
+  ASSERT_EQ(grid.size(), brute.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const ActivationRecord& g = grid[i];
+    const ActivationRecord& b = brute[i];
     EXPECT_EQ(g.activation.robot, b.activation.robot) << "seed " << seed << " rec " << i;
     EXPECT_EQ(g.activation.t_look, b.activation.t_look) << "seed " << seed << " rec " << i;
     EXPECT_EQ(g.activation.t_move_start, b.activation.t_move_start)
@@ -42,6 +46,23 @@ void expect_identical_traces(const Trace& grid, const Trace& brute, std::uint64_
     EXPECT_EQ(g.seen, b.seen) << "seed " << seed << " rec " << i;
   }
 }
+
+void expect_identical_traces(const Trace& grid, const Trace& brute, std::uint64_t seed) {
+  expect_identical_records(grid.records(), brute.records(), seed);
+}
+
+/// Materializing sink for the bounded-memory engines: collects the record
+/// stream the way Trace would, without the engine keeping history.
+class CollectingSink final : public TraceSink {
+ public:
+  void append(const ActivationRecord& rec) override { records_.push_back(rec); }
+  [[nodiscard]] const std::vector<ActivationRecord>& records() const { return records_; }
+
+ private:
+  std::vector<ActivationRecord> records_;
+};
+
+constexpr SnapshotPath kGridPaths[] = {SnapshotPath::kIncremental, SnapshotPath::kRebuild};
 
 std::unique_ptr<Scheduler> make_scheduler(std::uint64_t seed, std::size_t n) {
   switch (seed % 4) {
@@ -80,15 +101,10 @@ std::vector<Vec2> make_initial(std::uint64_t seed, std::size_t n, double v) {
   }
 }
 
-/// The three snapshot paths under test: reference scan over the Trace,
-/// per-Look-time grid rebuild, and incremental cell maintenance.
-enum class IndexMode { kBrute, kRebuild, kIncremental };
-
-EngineConfig make_config(std::uint64_t seed, std::size_t n, IndexMode mode) {
+EngineConfig make_config(std::uint64_t seed, std::size_t n, SnapshotPath path) {
   EngineConfig cfg;
   cfg.seed = seed * 7919 + 13;
-  cfg.use_spatial_index = mode != IndexMode::kBrute;
-  cfg.incremental_index = mode == IndexMode::kIncremental;
+  cfg.snapshot_path = path;
   cfg.visibility.radius = 1.0;
   cfg.visibility.open_ball = (seed / 2) % 2 == 1;
   cfg.visibility.multiplicity_detection = (seed / 4) % 2 == 1;
@@ -135,11 +151,11 @@ TEST(EngineEquivalence, AllIndexModesProduceIdenticalTraces) {
                                                : static_cast<const Algorithm&>(ando);
 
     const auto sched_inc = make_scheduler(seed, n);
-    Engine inc(initial, algorithm, *sched_inc, make_config(seed, n, IndexMode::kIncremental));
+    Engine inc(initial, algorithm, *sched_inc, make_config(seed, n, SnapshotPath::kIncremental));
     const auto sched_grid = make_scheduler(seed, n);
-    Engine grid(initial, algorithm, *sched_grid, make_config(seed, n, IndexMode::kRebuild));
+    Engine grid(initial, algorithm, *sched_grid, make_config(seed, n, SnapshotPath::kRebuild));
     const auto sched_brute = make_scheduler(seed, n);
-    Engine brute(initial, algorithm, *sched_brute, make_config(seed, n, IndexMode::kBrute));
+    Engine brute(initial, algorithm, *sched_brute, make_config(seed, n, SnapshotPath::kScan));
 
     if (seed % 7 == 3) {  // fail-stop robots ride along unchanged
       inc.crash(n / 2);
@@ -167,6 +183,47 @@ TEST(EngineEquivalence, AllIndexModesProduceIdenticalTraces) {
   }
 }
 
+// The SoaEquivalence suite name predates SnapshotPath; its two remaining
+// tests now cover the grid paths and keep their names for test history.
+
+TEST(SoaEquivalence, BoundedMemoryStreamModeMatchesMemoryPath) {
+  // record_history = false: the engine keeps no Trace and feeds a TeeSink
+  // instead (the engine a stream-mode spec runs). On both grid paths, across
+  // all four scheduler families, the record stream must equal the same
+  // path's memory-mode twin and the brute-force reference.
+  const algo::KknpsAlgorithm kknps({.k = 2});
+  for (std::uint64_t seed = 1000; seed < 1120; ++seed) {
+    const std::size_t n = 3 + seed % 23;
+    const auto initial = make_initial(seed, n, 1.0);
+    const auto sched_brute = make_scheduler(seed, n);
+    Engine brute(initial, kknps, *sched_brute, make_config(seed, n, SnapshotPath::kScan));
+    const std::size_t steps = 100;
+    const std::size_t done = brute.run(steps);
+
+    for (const SnapshotPath path : kGridPaths) {
+      EngineConfig stream_cfg = make_config(seed, n, path);
+      stream_cfg.record_history = false;
+      const auto sched_stream = make_scheduler(seed, n);
+      Engine stream(initial, kknps, *sched_stream, stream_cfg);
+      CollectingSink collected;
+      CollectingSink collected_copy;
+      TeeSink tee({&collected, &collected_copy});
+      stream.set_trace_sink(&tee);
+
+      const auto sched_mem = make_scheduler(seed, n);
+      Engine memory(initial, kknps, *sched_mem, make_config(seed, n, path));
+
+      ASSERT_EQ(memory.run(steps), done) << "seed " << seed;
+      ASSERT_EQ(stream.run(steps), done) << "seed " << seed;
+      expect_identical_records(collected.records(), memory.trace().records(), seed);
+      expect_identical_records(collected.records(), brute.trace().records(), seed);
+      expect_identical_records(collected.records(), collected_copy.records(), seed);
+      EXPECT_EQ(stream.current_diameter(), memory.current_diameter()) << "seed " << seed;
+      EXPECT_EQ(stream.end_time(), memory.end_time()) << "seed " << seed;
+    }
+  }
+}
+
 TEST(EngineEquivalence, LargeSwarmSpotCheck) {
   // One production-sized configuration: the grid path crosses many cells and
   // the per-look rebuild is reused across a whole synchronous round, while
@@ -182,11 +239,11 @@ TEST(EngineEquivalence, LargeSwarmSpotCheck) {
   Engine inc(initial, kknps, sched_inc, cfg);
 
   sched::FSyncScheduler sched_grid(n);
-  cfg.incremental_index = false;
+  cfg.snapshot_path = SnapshotPath::kRebuild;
   Engine grid(initial, kknps, sched_grid, cfg);
 
   sched::FSyncScheduler sched_brute(n);
-  cfg.use_spatial_index = false;
+  cfg.snapshot_path = SnapshotPath::kScan;
   Engine brute(initial, kknps, sched_brute, cfg);
 
   const std::size_t steps = n * 4;
@@ -221,13 +278,31 @@ TEST(EngineEquivalence, UnrestrictedAsyncLongRunIncrementalVsRebuild) {
     Engine inc(initial, kknps, sched_inc, cfg);
 
     sched::KAsyncScheduler sched_grid(n, p);
-    cfg.incremental_index = false;
+    cfg.snapshot_path = SnapshotPath::kRebuild;
     Engine grid(initial, kknps, sched_grid, cfg);
 
     const std::size_t steps = 2500;
     ASSERT_EQ(inc.run(steps), grid.run(steps)) << "seed " << seed;
     expect_identical_traces(inc.trace(), grid.trace(), seed);
     EXPECT_EQ(inc.current_diameter(), grid.current_diameter()) << "seed " << seed;
+  }
+}
+
+/// Replay `script` on both grid paths in bounded-memory mode; each record
+/// stream must equal the brute-force engine's in-memory trace.
+void expect_bounded_grid_paths_match(const std::vector<Vec2>& initial, const Algorithm& algorithm,
+                                     const std::vector<Activation>& script, EngineConfig cfg,
+                                     const Trace& brute) {
+  cfg.record_history = false;
+  for (const SnapshotPath path : kGridPaths) {
+    cfg.snapshot_path = path;
+    sched::ScriptedScheduler sched(script);
+    Engine bounded(initial, algorithm, sched, cfg);
+    CollectingSink collected;
+    bounded.set_trace_sink(&collected);
+    ASSERT_EQ(bounded.run(script.size()), brute.records().size());
+    expect_identical_records(collected.records(), brute.records(),
+                             static_cast<std::uint64_t>(path));
   }
 }
 
@@ -253,10 +328,10 @@ TEST(EngineEquivalence, ZeroDurationMovesInvalidateSameTimeGrid) {
   sched::ScriptedScheduler sched_inc(script);
   Engine inc(initial, cog, sched_inc, cfg);
   sched::ScriptedScheduler sched_grid(script);
-  cfg.incremental_index = false;
+  cfg.snapshot_path = SnapshotPath::kRebuild;
   Engine grid(initial, cog, sched_grid, cfg);
   sched::ScriptedScheduler sched_brute(script);
-  cfg.use_spatial_index = false;
+  cfg.snapshot_path = SnapshotPath::kScan;
   Engine brute(initial, cog, sched_brute, cfg);
 
   const std::size_t done = brute.run(script.size());
@@ -266,6 +341,7 @@ TEST(EngineEquivalence, ZeroDurationMovesInvalidateSameTimeGrid) {
   expect_identical_traces(inc.trace(), brute.trace(), 0);
   // Robot 1 at t=1 must have seen robot 0 at its *post-teleport* position.
   EXPECT_EQ(grid.trace().records()[1].from, brute.trace().records()[1].from);
+  expect_bounded_grid_paths_match(initial, cog, script, cfg, brute.trace());
 }
 
 TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
@@ -273,7 +349,9 @@ TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
   // frontier. The incremental path cannot serve such a query from its
   // forward-maintained buckets (positions then live on already-replaced
   // segments), so it must fall back to the reference scan for that Look —
-  // and resume incremental service afterwards. All three paths must agree.
+  // and resume incremental service afterwards. All three paths must agree,
+  // in memory and in bounded-memory mode (where the fallback reads the
+  // retained previous segment instead of the Trace).
   const algo::CogAlgorithm cog;
   const std::vector<Vec2> initial{{0.0, 0.0}, {0.6, 0.0}, {0.3, 0.5}, {-0.4, 0.2}};
   const double eps = 5e-13;  // within the 1e-12 ordering slack
@@ -300,10 +378,10 @@ TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
   sched::ScriptedScheduler sched_inc(script);
   Engine inc(initial, cog, sched_inc, cfg);
   sched::ScriptedScheduler sched_grid(script);
-  cfg.incremental_index = false;
+  cfg.snapshot_path = SnapshotPath::kRebuild;
   Engine grid(initial, cog, sched_grid, cfg);
   sched::ScriptedScheduler sched_brute(script);
-  cfg.use_spatial_index = false;
+  cfg.snapshot_path = SnapshotPath::kScan;
   Engine brute(initial, cog, sched_brute, cfg);
 
   const std::size_t done = brute.run(script.size());
@@ -312,6 +390,48 @@ TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
   ASSERT_EQ(inc.run(script.size()), done);
   expect_identical_traces(grid.trace(), brute.trace(), 0);
   expect_identical_traces(inc.trace(), brute.trace(), 0);
+  expect_bounded_grid_paths_match(initial, cog, script, cfg, brute.trace());
+}
+
+TEST(SoaEquivalence, ZeroDurationAndBackwardSlackScriptsStayExact) {
+  // The engine's two scheduler-slack subtleties interleaved, on both grid
+  // paths in memory and bounded-memory mode vs the brute reference: a
+  // zero-duration move must invalidate the same-time grid, and a Look within
+  // the 1e-12 ordering slack *before* the frontier must be served by the
+  // scan fallback.
+  const algo::CogAlgorithm cog;
+  const std::vector<Vec2> initial{{0.0, 0.0}, {0.6, 0.0}, {0.3, 0.5}, {-0.4, 0.2}};
+  const double eps = 5e-13;
+  const std::vector<Activation> script{
+      {0, 1.0, 1.0, 1.0, 1.0},        // instantaneous move at the Look
+      {1, 1.0, 1.0, 1.0, 0.5},        // instantaneous, xi-truncated
+      {2, 1.0, 1.1, 1.4, 1.0},        // ordinary move at the same Look time
+      {3, 2.0 - eps, 2.0, 2.3, 1.0},  // backward Look within the slack
+      {0, 2.0, 2.0, 2.0, 1.0},        // zero-duration after the fallback
+      {1, 3.0, 3.1, 3.4, 1.0},
+      {2, 3.0 - eps, 3.0, 3.2, 0.7},  // backward again after real motion
+      {3, 4.0, 4.2, 4.6, 1.0},
+  };
+  EngineConfig base;
+  base.visibility.radius = 1.0;
+  base.error.random_rotation = false;
+
+  auto brute_cfg = base;
+  brute_cfg.snapshot_path = SnapshotPath::kScan;
+  sched::ScriptedScheduler sched_brute(script);
+  Engine brute(initial, cog, sched_brute, brute_cfg);
+  const std::size_t done = brute.run(script.size());
+  ASSERT_EQ(done, script.size());
+
+  for (const SnapshotPath path : kGridPaths) {
+    auto cfg = base;
+    cfg.snapshot_path = path;
+    sched::ScriptedScheduler sched_grid(script);
+    Engine grid(initial, cog, sched_grid, cfg);
+    ASSERT_EQ(grid.run(script.size()), done);
+    expect_identical_traces(grid.trace(), brute.trace(), static_cast<std::uint64_t>(path));
+  }
+  expect_bounded_grid_paths_match(initial, cog, script, base, brute.trace());
 }
 
 TEST(EngineEquivalence, ViewPositionsAgreeMidRun) {

@@ -63,6 +63,10 @@ struct CohesionCase {
   std::uint64_t seed;
 };
 
+// Print the label, not the raw bytes (a pointer and padding), so the
+// parameter text in test names is the same on every build.
+void PrintTo(const CohesionCase& c, std::ostream* os) { *os << c.label; }
+
 class Theorem34 : public ::testing::TestWithParam<CohesionCase> {};
 
 TEST_P(Theorem34, VisibilityPreserved) {

@@ -29,6 +29,10 @@ struct SchedCase {
   std::size_t k;  // 0 = FSync, 1.. = KAsync(k); 100+x = KNestA(x); 99 = SSync
 };
 
+// Print the label, not the raw bytes (which hold a pointer), so the
+// parameter text in test names is the same on every build.
+void PrintTo(const SchedCase& c, std::ostream* os) { *os << c.label; }
+
 class KknpsConverges : public ::testing::TestWithParam<SchedCase> {};
 
 TEST_P(KknpsConverges, RandomConnectedConfiguration) {

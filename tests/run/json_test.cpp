@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace cohesion::run {
 namespace {
 
@@ -61,6 +63,27 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW((void)Json::parse("{\"a\":1,\"a\":2}"), std::runtime_error);  // dup key
   EXPECT_THROW((void)Json::parse(""), std::runtime_error);
+}
+
+TEST(Json, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // A million '[' used to recurse a million frames deep and crash; the
+  // parser now stops at kMaxParseDepth with a named, offset-bearing error.
+  const std::string hostile(1000000, '[');
+  try {
+    (void)Json::parse(hostile);
+    FAIL() << "10^6 nested arrays accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nesting depth exceeds 512"), std::string::npos) << what;
+    EXPECT_NE(what.find("offset 512"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)Json::parse(std::string(100000, '{')), std::runtime_error);
+
+  // The limit itself is legal, one more level is not.
+  const std::size_t max = Json::kMaxParseDepth;
+  const std::string at_limit = std::string(max, '[') + std::string(max, ']');
+  EXPECT_EQ(Json::parse(at_limit).dump(), at_limit);
+  EXPECT_THROW((void)Json::parse("[" + at_limit + "]"), std::runtime_error);
 }
 
 TEST(Json, AccessorsEnforceKindAndRange) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+
+#include "run/instantiate.hpp"
 
 namespace cohesion::run {
 namespace {
@@ -19,9 +23,6 @@ RunSpec sample_spec() {
   s.visibility_radius = 1.5;
   s.open_ball = true;
   s.multiplicity_detection = true;
-  s.use_spatial_index = false;
-  s.incremental_index = false;
-  s.soa_kernel = true;
   s.stop.epsilon = 0.08;
   s.stop.max_activations = 1234;
   s.stop.check_every = 32;
@@ -40,9 +41,6 @@ TEST(RunSpec, JsonRoundTripIsExact) {
   EXPECT_EQ(back.stop.max_activations, 1234u);
   EXPECT_DOUBLE_EQ(back.stop.max_time, 75.5);
   EXPECT_TRUE(back.open_ball);
-  EXPECT_FALSE(back.use_spatial_index);
-  EXPECT_FALSE(back.incremental_index);
-  EXPECT_TRUE(back.soa_kernel);
 }
 
 TEST(RunSpec, DefaultsApplyForAbsentFields) {
@@ -52,24 +50,47 @@ TEST(RunSpec, DefaultsApplyForAbsentFields) {
   EXPECT_EQ(s.scheduler.type, "kasync");
   EXPECT_DOUBLE_EQ(s.visibility_radius, 1.0);
   EXPECT_DOUBLE_EQ(s.stop.epsilon, 0.05);
-  EXPECT_TRUE(s.use_spatial_index);
-  EXPECT_TRUE(s.incremental_index);
-  EXPECT_FALSE(s.soa_kernel);
 }
 
-TEST(RunSpec, SoaKernelSerializedOnlyWhenEnabled) {
-  // Off (the default) must not appear in the JSON at all — existing spec
-  // bytes, fingerprints, cache keys and checkpoints stay untouched.
-  const RunSpec off;
-  EXPECT_EQ(off.to_json().dump().find("soa_kernel"), std::string::npos);
-  RunSpec on;
-  on.soa_kernel = true;
-  const Json j = on.to_json();
-  EXPECT_NE(j.dump().find("\"soa_kernel\":true"), std::string::npos);
-  EXPECT_TRUE(RunSpec::from_json(j).soa_kernel);
-  // The flag participates in the identity exactly when serialized.
-  EXPECT_NE(spec_fingerprint(off), spec_fingerprint(on));
-  EXPECT_NE(run_identity(off), run_identity(on));
+TEST(RunSpec, LegacyPathKeysDoNotChangeIdentity) {
+  // use_spatial_index, incremental_index and soa_kernel once selected
+  // bit-identical snapshot paths. They are no longer fields: any value
+  // parses to the identity of the same spec without them, and no spec
+  // serializes them.
+  const Json plain = sample_spec().to_json();
+  for (const char* key : {"use_spatial_index", "incremental_index", "soa_kernel"}) {
+    EXPECT_FALSE(plain.contains(key)) << key;
+    for (const Json& value : {Json(true), Json(false), Json(7), Json("x")}) {
+      Json legacy = plain;
+      legacy.set(key, value);
+      const RunSpec parsed = RunSpec::from_json(legacy);
+      EXPECT_EQ(spec_fingerprint(parsed), spec_fingerprint(sample_spec())) << key;
+      EXPECT_EQ(run_identity(parsed), run_identity(sample_spec())) << key;
+      EXPECT_EQ(parsed.to_json().dump(), plain.dump()) << key;
+    }
+  }
+}
+
+TEST(Instantiate, SnapshotPathFollowsScheduleClass) {
+  // Synchronous rounds share one Look time, so one grid rebuild serves the
+  // round; every other scheduler keeps the grid per commit.
+  const std::pair<const char*, core::SnapshotPath> cases[] = {
+      {"fsync", core::SnapshotPath::kRebuild},      {"ssync", core::SnapshotPath::kRebuild},
+      {"kasync", core::SnapshotPath::kIncremental}, {"async", core::SnapshotPath::kIncremental},
+      {"knesta", core::SnapshotPath::kIncremental}, {"scripted", core::SnapshotPath::kIncremental},
+  };
+  for (const auto& [key, path] : cases) {
+    RunSpec spec;
+    spec.n = 4;
+    spec.initial = {.type = "line"};
+    spec.scheduler = {.type = key};
+    if (std::string(key) == "scripted") {
+      spec.scheduler.params = Json::parse(R"({"script": [[0, 1.0, 1.0, 1.5, 1.0]]})");
+    }
+    const RunInstance inst = instantiate(spec);
+    EXPECT_EQ(inst.config.snapshot_path, path) << key;
+    EXPECT_TRUE(inst.config.record_history) << key;
+  }
 }
 
 TEST(RunSpec, FactoryShorthandString) {

@@ -146,20 +146,19 @@ TEST(TraceSpec, RunOutcomeTraceFieldsRoundTripOnlyWhenSet) {
   EXPECT_EQ(back.to_json().dump(), j.dump());
 }
 
-TEST(TraceSpec, InstantiateRejectsBoundedModeWithoutSpatialIndex) {
-  RunSpec spec;
-  spec.trace.mode = "stream";
-  spec.trace.path = "x.cohtrace";
-  spec.use_spatial_index = false;
-  try {
-    (void)instantiate(spec);
-    FAIL() << "stream mode without the spatial index accepted";
-  } catch (const std::exception& e) {
-    EXPECT_NE(std::string(e.what()).find("use_spatial_index"), std::string::npos) << e.what();
+TEST(TraceSpec, InstantiateSelectsBoundedEngineForBoundedModes) {
+  // Both grid paths run bounded: a synchronous key (rebuild path) and an
+  // asynchronous one (incremental path).
+  for (const char* scheduler : {"fsync", "kasync"}) {
+    for (const char* mode : {"stream", "off"}) {
+      RunSpec spec;
+      spec.scheduler = {.type = scheduler};
+      spec.trace.mode = mode;
+      spec.trace.path = "x.cohtrace";
+      const RunInstance inst = instantiate(spec);
+      EXPECT_FALSE(inst.config.record_history) << scheduler << " " << mode;
+    }
   }
-  spec.use_spatial_index = true;
-  const RunInstance inst = instantiate(spec);
-  EXPECT_FALSE(inst.config.record_history);  // bounded-memory engine
 }
 
 TEST(TraceSpec, BatchRunnerStreamModeMatchesMemoryReportAndReplays) {
