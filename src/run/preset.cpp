@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "run/exit_codes.hpp"
+
 namespace cohesion::run {
 
 namespace fs = std::filesystem;
@@ -132,11 +134,23 @@ Json load_spec_file(const std::string& path) {
   Chain chain;
   chain.display.push_back(path);
   chain.canonical.push_back(canonical_key(path));
-  // The top-level file is opened by the caller's rules (the CLI probes it
-  // for the transient/permanent distinction first); parse errors here keep
+  // The top-level file is opened by the caller's rules (load_experiment probes
+  // it for the transient/permanent distinction first); parse errors here keep
   // their plain form, chain errors begin once an "extends" is followed.
   Json doc = Json::parse_file(path);
   return resolve_in_chain(std::move(doc), fs::path(path).parent_path().string(), chain);
+}
+
+ExperimentSpec load_experiment(const std::string& path) {
+  // Distinguish the unreadable file (transient) from the unparseable one
+  // (permanent) before parsing.
+  if (!std::ifstream(path)) throw TransientError("cannot open spec file " + path);
+  const Json doc = load_spec_file(path);
+  if (doc.contains("base")) return ExperimentSpec::from_json(doc);
+  ExperimentSpec experiment;
+  experiment.base = RunSpec::from_json(doc);
+  experiment.name = experiment.base.name;
+  return experiment;
 }
 
 }  // namespace cohesion::run

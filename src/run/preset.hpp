@@ -32,6 +32,7 @@
 #include <string>
 
 #include "run/json.hpp"
+#include "run/spec.hpp"
 
 namespace cohesion::run {
 
@@ -45,6 +46,12 @@ void deep_merge(Json& base, const Json& overlay);
 /// Throws std::runtime_error naming the preset chain on cycles, missing
 /// bases, or malformed "extends" values.
 [[nodiscard]] Json load_spec_file(const std::string& path);
+
+/// Load an experiment the way every CLI does: resolve the "extends" chain
+/// (load_spec_file), then wrap a bare RunSpec (no "base") as a one-run
+/// experiment named after it. An unreadable file throws TransientError (it
+/// may not have been copied yet); an invalid one throws std::runtime_error.
+[[nodiscard]] ExperimentSpec load_experiment(const std::string& path);
 
 /// Resolve an already-parsed document against bases located relative to
 /// `source_dir` (the directory of the file `doc` came from; "" means the

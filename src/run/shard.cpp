@@ -6,8 +6,6 @@ namespace cohesion::run {
 
 namespace {
 
-constexpr const char* kFormat = "cohesion-partial-report/1";
-
 std::size_t parse_count(const std::string& text, const std::string& whole) {
   if (text.empty()) throw std::runtime_error("bad shard \"" + whole + "\": expected i/N");
   std::size_t value = 0;
@@ -39,7 +37,7 @@ Shard Shard::parse(const std::string& text) {
 Json partial_report_json(const ExperimentSpec& experiment, const Shard& shard,
                          std::size_t total_runs, const std::vector<RunOutcome>& outcomes) {
   Json j = Json::object();
-  j.set("format", kFormat);
+  j.set("format", kPartialReportFormat);
   j.set("experiment", experiment.to_json());
   j.set("total_runs", total_runs);
   Json s = Json::object();
@@ -67,8 +65,9 @@ Json merge_partial_reports(const std::vector<Json>& partials) {
   for (std::size_t p = 0; p < partials.size(); ++p) {
     const Json& part = partials[p];
     const std::string where = "partial report #" + std::to_string(p);
-    if (!part.is_object() || part.string_or("format", "") != kFormat) {
-      throw std::runtime_error(where + ": missing/unknown format marker (expected \"" + kFormat +
+    if (!part.is_object() || part.string_or("format", "") != kPartialReportFormat) {
+      throw std::runtime_error(where + ": missing/unknown format marker (expected \"" +
+                               kPartialReportFormat +
                                "\") — inputs must be cohesion_run --shard outputs");
     }
     const Json& exp = part.at("experiment");

@@ -33,6 +33,9 @@
 
 namespace cohesion::run {
 
+/// The "format" marker of every partial report.
+inline constexpr const char* kPartialReportFormat = "cohesion-partial-report/1";
+
 /// One process's slice of a sweep: shard `index` of `count` (0-based).
 struct Shard {
   std::size_t index = 0;

@@ -1,102 +1,28 @@
 #include "run/supervisor.hpp"
 
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "run/exit_codes.hpp"
-#include "run/shard.hpp"
-#include "run/spec.hpp"
+#include "run/preset.hpp"
+#include "serve/job_table.hpp"
 
 namespace cohesion::run {
 
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
-
-constexpr const char* kPartialFormat = "cohesion-partial-report/1";
-constexpr const char* kSupervisedFormat = "cohesion-supervised-partial/1";
-
-double seconds_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-/// The cohesion_run binary next to the current executable — the right
-/// default for both the cohesion_launch CLI and the test binary, which
-/// live in the same build tree as their workers.
-std::string sibling_runner() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "cohesion_run";
-  buf[n] = '\0';
-  const std::string exe(buf);
-  const std::size_t slash = exe.rfind('/');
-  if (slash == std::string::npos) return "cohesion_run";
-  return exe.substr(0, slash + 1) + "cohesion_run";
-}
-
-/// Cheap heartbeat read: journal size and complete-line count. No JSON
-/// parsing — growth is the heartbeat, lines arm fault triggers.
-struct JournalStat {
-  std::size_t bytes = 0;
-  std::size_t outcome_lines = 0;  ///< complete lines minus the header
-};
-
-JournalStat stat_journal(const std::string& path) {
-  JournalStat s;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return s;
-  std::size_t lines = 0;
-  char chunk[1 << 14];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    const std::streamsize got = in.gcount();
-    s.bytes += static_cast<std::size_t>(got);
-    lines += static_cast<std::size_t>(
-        std::count(chunk, chunk + got, '\n'));
-    if (got < static_cast<std::streamsize>(sizeof(chunk))) break;
-  }
-  s.outcome_lines = lines > 0 ? lines - 1 : 0;  // line 1 is the header
-  return s;
-}
-
-/// Everything the supervisor tracks about one shard beyond its public
-/// ShardStatus. The lease is (last_progress, journal growth); `retained`
-/// accumulates outcomes recovered from dead attempts so a retry that
-/// starts over (or a final partial report) never loses them.
-struct ShardState {
-  ShardStatus status;
-  ::pid_t pid = -1;
-  Clock::time_point last_progress{};
-  Clock::time_point retry_at{};
-  std::size_t journal_bytes = 0;
-  bool corrupt_pending = false;  ///< corrupt fault fired; scribble tail at reap
-  std::vector<RunOutcome> retained;
-  Json partial;  ///< parsed partial report once collected
-  std::vector<char> fault_fired;  ///< parallel to SupervisorOptions::faults
-
-  std::string journal_path;
-  std::string partial_path;
-  std::string log_path;
-};
-
-bool is_terminal(const ShardState& s) {
-  return s.status.state == ShardStatus::State::done ||
-         s.status.state == ShardStatus::State::failed;
-}
 
 void append_torn_tail(const std::string& path) {
   // A newline-free fragment of a plausible outcome line: exactly what a
@@ -104,6 +30,15 @@ void append_torn_tail(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
   out << R"({"index": 4294967295, "variant": 0, "repe)";
 }
+
+/// One local worker slot: a JobTable worker, and while it holds a lease,
+/// the runner executing it.
+struct Slot {
+  std::uint64_t worker = 0;
+  std::uint64_t lease = 0;
+  std::optional<RunnerProcess> runner;
+  bool corrupt_pending = false;  ///< corrupt fault fired; scribble the tail at reap
+};
 
 }  // namespace
 
@@ -180,15 +115,16 @@ std::string FaultPlan::describe() const {
          ",attempt=" + std::to_string(attempt) + ",after=" + std::to_string(after_lines);
 }
 
-const char* ShardStatus::state_name() const {
-  switch (state) {
-    case State::pending: return "pending";
-    case State::running: return "running";
-    case State::backoff: return "backoff";
-    case State::done: return "done";
-    case State::failed: return "failed";
+FoldResult fold_attempt_outcome(RunOutcome& kept, const RunOutcome& incoming) {
+  const bool kept_ok = kept.error.empty();
+  const bool new_ok = incoming.error.empty();
+  if (kept_ok && new_ok) {
+    return kept.to_json().dump() == incoming.to_json().dump() ? FoldResult::kept
+                                                              : FoldResult::conflict;
   }
-  return "?";
+  if (kept_ok) return FoldResult::kept;  // an error never displaces a completed outcome
+  kept = incoming;  // completed beats errored; between two errors the later wins
+  return FoldResult::replaced;
 }
 
 std::vector<RunOutcome> merge_attempt_outcomes(
@@ -197,59 +133,19 @@ std::vector<RunOutcome> merge_attempt_outcomes(
   for (const std::vector<RunOutcome>& attempt : attempts) {
     for (const RunOutcome& o : attempt) {
       const auto [it, fresh] = by_index.try_emplace(o.index, o);
-      if (fresh) continue;
-      RunOutcome& kept = it->second;
-      const bool kept_ok = kept.error.empty();
-      const bool new_ok = o.error.empty();
-      if (kept_ok && new_ok) {
-        // Outcomes are deterministic functions of the grid position, so two
-        // completed attempts must agree exactly; a difference means the
-        // attempts ran different specs (or nondeterminism crept in) and no
-        // silent choice between them is right.
-        if (kept.to_json().dump() != o.to_json().dump()) {
-          throw std::runtime_error(
-              "attempt merge: conflicting completed outcomes for grid index " +
-              std::to_string(o.index) +
-              " — attempts disagree on a deterministic run (different spec or "
-              "nondeterministic engine); refusing to pick one");
-        }
-      } else if (!kept_ok && new_ok) {
-        kept = o;  // a completed outcome supersedes an environmental error
-      } else if (!kept_ok && !new_ok) {
-        kept = o;  // between two errors, the later attempt's wins
+      if (!fresh && fold_attempt_outcome(it->second, o) == FoldResult::conflict) {
+        throw std::runtime_error(
+            "attempt merge: conflicting completed outcomes for grid index " +
+            std::to_string(o.index) +
+            " — attempts disagree on a deterministic run (different spec or "
+            "nondeterministic engine); refusing to pick one");
       }
-      // kept_ok && !new_ok: keep the completed outcome.
     }
   }
   std::vector<RunOutcome> out;
   out.reserve(by_index.size());
   for (auto& [index, o] : by_index) out.push_back(std::move(o));
   return out;
-}
-
-bool read_journal_outcomes(const std::string& path, std::vector<RunOutcome>& outcomes) {
-  outcomes.clear();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  const std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn tail — a crash artifact, ignored
-    const std::string_view line(content.data() + pos, nl - pos);
-    pos = nl + 1;
-    ++line_no;
-    if (line_no == 1) continue;  // header
-    try {
-      outcomes.push_back(RunOutcome::from_json(Json::parse(line)));
-    } catch (const std::exception&) {
-      // A live worker owns this file; skip anything unreadable rather than
-      // fail supervision over a monitoring read.
-    }
-  }
-  return line_no > 0;
 }
 
 Supervisor::Supervisor(SupervisorOptions options) : options_(std::move(options)) {}
@@ -263,22 +159,17 @@ SupervisorResult Supervisor::run() {
   if (::access(options_.runner.c_str(), X_OK) != 0) {
     throw std::runtime_error("supervisor: runner " + options_.runner + " is not executable");
   }
-
-  // Parse the spec up front: total_runs for progress/coverage, and a spec
-  // error is the supervisor's to report, not N workers' to rediscover.
-  const Json doc = Json::parse_file(options_.spec_path);
-  ExperimentSpec experiment;
-  if (doc.contains("base")) {
-    experiment = ExperimentSpec::from_json(doc);
-  } else {
-    experiment.base = RunSpec::from_json(doc);
-    experiment.name = experiment.base.name;
-  }
+  // Resolve the spec up front — a spec error is the supervisor's to report,
+  // not N runners' to rediscover — and submit the echo the runners'
+  // outcomes will be folded against.
+  const ExperimentSpec experiment = load_experiment(options_.spec_path);
   const std::size_t total_runs =
       experiment.variant_count() * std::max<std::size_t>(experiment.repeats, 1);
+  const std::size_t width =
+      std::min(options_.shards, std::max<std::size_t>(experiment.variant_count(), 1));
 
   std::error_code ec;
-  fs::create_directories(options_.work_dir, ec);
+  std::filesystem::create_directories(options_.work_dir, ec);
   if (ec) {
     throw std::runtime_error("supervisor: cannot create work dir " + options_.work_dir + " (" +
                              ec.message() + ")");
@@ -287,379 +178,175 @@ SupervisorResult Supervisor::run() {
   const auto event = [&](const std::string& line) {
     if (options_.on_event) options_.on_event(line);
   };
+  const Clock::time_point start = Clock::now();
+  const auto now = [&] { return std::chrono::duration<double>(Clock::now() - start).count(); };
 
-  std::vector<ShardState> shards(options_.shards);
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    ShardState& s = shards[i];
-    const std::string stem = options_.work_dir + "/shard_" + std::to_string(i);
-    s.journal_path = stem + ".ckpt";
-    s.partial_path = stem + ".partial.json";
-    s.log_path = stem + ".log";
-    s.fault_fired.assign(options_.faults.size(), 0);
+  serve::JobTable table(serve::ServeConfig{.retry = options_.retry,
+                                           .lease_timeout_seconds = options_.lease.timeout_seconds});
+  serve::Effects effects;  // the table's own notes; the front words its events itself
+  const std::uint64_t job = table.add_job(experiment.name, experiment.to_json(), now(), effects);
+  // A fixed worker set pins the partition width: the table keeps it at
+  // min(workers, variants) = width for the whole sweep.
+  std::vector<Slot> slots(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    slots[i].worker = table.worker_joined("local-" + std::to_string(i));
   }
+  std::vector<ShardStatus> shards(width);
+  std::vector<char> fault_fired(options_.faults.size(), 0);
+  std::optional<double> done_at;  // when the job completed
 
-  const auto spawn = [&](std::size_t index) {
-    ShardState& s = shards[index];
-    fs::remove(s.partial_path, ec);  // a stale partial must never masquerade as coverage
-    ++s.status.attempts;
-    s.corrupt_pending = false;
-    std::vector<std::string> args = {
-        options_.runner,
-        options_.spec_path,
-        "--shard",
-        std::to_string(index) + "/" + std::to_string(options_.shards),
-        "--resume",
-        s.journal_path,
-        "--out",
-        s.partial_path,
-        "--threads",
-        std::to_string(std::max<std::size_t>(options_.worker_threads, 1)),
-    };
-    if (options_.throttle_ms > 0) {
-      args.push_back("--throttle-ms");
-      args.push_back(std::to_string(options_.throttle_ms));
-    }
-    const ::pid_t pid = ::fork();
-    if (pid < 0) {
-      // Treat like any other transient death; the retry path owns it.
-      s.status.last_failure = std::string("fork failed (") + std::strerror(errno) + ")";
-      s.status.state = s.status.attempts >= options_.retry.max_attempts
-                           ? ShardStatus::State::failed
-                           : ShardStatus::State::backoff;
-      s.retry_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                      std::chrono::duration<double>(options_.retry.backoff_seconds(
-                                          index, s.status.attempts)));
+  // A runner has ended (reaped, or killed on an expired lease): fold every
+  // journaled outcome into the table and account for the shard.
+  const auto settle = [&](Slot& slot, const RunnerExit& exit) {
+    const RunnerCommand command = slot.runner->command();
+    slot.runner.reset();
+    if (std::exchange(slot.corrupt_pending, false)) append_torn_tail(command.journal_path());
+    std::vector<RunOutcome> outcomes;
+    read_journal_outcomes(command.journal_path(), outcomes);
+    ShardStatus& st = shards[command.shard];
+    st.journal_lines = stat_journal(command.journal_path()).outcome_lines;
+    const std::string who = "shard " + std::to_string(command.shard);
+    if (exit.kind == RunnerExit::Kind::covered) {
+      table.complete(slot.lease, outcomes, now(), effects);
+      event(who + " done (" + exit.reason + ", attempt " + std::to_string(st.attempts) + ")");
       return;
     }
-    if (pid == 0) {
-      const int log = ::open(s.log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-      if (log >= 0) {
-        ::dup2(log, STDOUT_FILENO);
-        ::dup2(log, STDERR_FILENO);
-        if (log > STDERR_FILENO) ::close(log);
-      }
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      ::_exit(127);  // exec failure — reported through the exit status
-    }
-    s.pid = pid;
-    s.status.state = ShardStatus::State::running;
-    s.journal_bytes = stat_journal(s.journal_path).bytes;
-    s.last_progress = Clock::now();
-    event("shard " + std::to_string(index) + " attempt " + std::to_string(s.status.attempts) +
-          " launched (pid " + std::to_string(pid) + ")");
-  };
-
-  // A dead worker's journal still holds fsync'd outcomes; fold them into
-  // `retained` so no completed run is ever lost — not to a retry that
-  // starts a fresh journal, and not to a shard that fails for good.
-  const auto retain_journal = [&](ShardState& s) {
-    std::vector<RunOutcome> journaled;
-    read_journal_outcomes(s.journal_path, journaled);
-    try {
-      s.retained = merge_attempt_outcomes({s.retained, journaled});
-    } catch (const std::exception& e) {
-      event(std::string("WARNING: ") + e.what());
+    table.fail(slot.lease, exit.exit_code, exit.reason, outcomes, now(), effects);
+    st.last_failure = exit.reason;
+    if (exit.kind == RunnerExit::Kind::permanent) {
+      event(who + " FAILED permanently: " + exit.reason);
+    } else if (st.attempts >= options_.retry.max_attempts) {
+      event(who + " FAILED: retry budget exhausted after " + std::to_string(st.attempts) +
+            " attempts (last: " + exit.reason + ")");
+    } else {
+      event(who + " died (" + exit.reason + "); retry " + std::to_string(st.attempts + 1) + "/" +
+            std::to_string(options_.retry.max_attempts) + " after backoff");
     }
   };
 
-  const auto on_death = [&](std::size_t index, const std::string& reason, bool permanent) {
-    ShardState& s = shards[index];
-    s.pid = -1;
-    s.status.last_failure = reason;
-    retain_journal(s);
-    if (permanent) {
-      s.status.state = ShardStatus::State::failed;
-      event("shard " + std::to_string(index) + " FAILED permanently: " + reason);
+  // One pass over a busy slot: reap, or heartbeat (killing the runner when
+  // the table has expired its lease), then arm fault triggers.
+  const auto poll = [&](Slot& slot) {
+    if (std::optional<RunnerExit> exit = slot.runner->poll()) {
+      settle(slot, *exit);
       return;
     }
-    if (s.status.attempts >= options_.retry.max_attempts) {
-      s.status.state = ShardStatus::State::failed;
-      event("shard " + std::to_string(index) + " FAILED: retry budget exhausted after " +
-            std::to_string(s.status.attempts) + " attempts (last: " + reason + ")");
+    const std::size_t shard = slot.runner->command().shard;
+    JournalStat js;
+    const std::vector<RunOutcome> fresh = slot.runner->heartbeat(js);
+    shards[shard].journal_lines = js.outcome_lines;
+    if (!table.heartbeat(slot.lease, js.bytes, js.outcome_lines, fresh, now(), effects)) {
+      if (table.job_done(job)) {
+        // Every run is in. The runner gets one lease window to write its
+        // partial report and exit before it is stopped.
+        if (!done_at) done_at = now();
+        if (now() - *done_at > options_.lease.timeout_seconds) {
+          slot.runner->stop();
+          slot.runner.reset();
+        }
+        return;
+      }
+      // Expired: no journal growth for the whole window. SIGKILL is safe on
+      // live, wedged and SIGSTOPped runners alike.
+      slot.runner->kill();
+      settle(slot, RunnerExit{.exit_code = kExitTransient,
+                              .reason = "lease expired (no journal progress for " +
+                                        std::to_string(options_.lease.timeout_seconds) + "s)"});
       return;
     }
-    const double delay = options_.retry.backoff_seconds(index, s.status.attempts);
-    s.status.state = ShardStatus::State::backoff;
-    s.retry_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double>(delay));
-    event("shard " + std::to_string(index) + " died (" + reason + "); retry " +
-          std::to_string(s.status.attempts + 1) + "/" +
-          std::to_string(options_.retry.max_attempts) + " in " + std::to_string(delay) + "s");
-  };
-
-  const auto try_collect_partial = [&](ShardState& s, std::size_t index,
-                                       std::string& why) -> bool {
-    try {
-      Json p = Json::parse_file(s.partial_path);
-      if (!p.is_object() || p.string_or("format", "") != kPartialFormat) {
-        why = "not a partial report";
-        return false;
-      }
-      if (static_cast<std::size_t>(p.at("shard").at("index").as_uint()) != index) {
-        why = "partial report belongs to another shard";
-        return false;
-      }
-      std::vector<RunOutcome> outcomes;
-      for (const Json& r : p.at("runs").items()) outcomes.push_back(RunOutcome::from_json(r));
-      s.retained = merge_attempt_outcomes({s.retained, outcomes});
-      s.partial = std::move(p);
-      return true;
-    } catch (const std::exception& e) {
-      why = e.what();
-      return false;
-    }
-  };
-
-  // One pass over a running shard: heartbeat from the journal, armed fault
-  // triggers, then the lease check. Reaping happens separately so a kill
-  // issued here is observed (and classified) on a later pass.
-  const auto poll_running = [&](std::size_t index) {
-    ShardState& s = shards[index];
-    const JournalStat js = stat_journal(s.journal_path);
-    if (js.bytes > s.journal_bytes) {
-      s.journal_bytes = js.bytes;
-      s.last_progress = Clock::now();
-    }
-    s.status.journal_lines = js.outcome_lines;
-
     for (std::size_t f = 0; f < options_.faults.size(); ++f) {
       const FaultPlan& fault = options_.faults[f];
-      if (s.fault_fired[f] || fault.shard != index || fault.attempt != s.status.attempts ||
+      if (fault_fired[f] || fault.shard != shard || fault.attempt != shards[shard].attempts ||
           js.outcome_lines < fault.after_lines) {
         continue;
       }
-      s.fault_fired[f] = 1;
-      event("fault injected on shard " + std::to_string(index) + ": " + fault.describe());
-      switch (fault.kind) {
-        case FaultPlan::Kind::kill:
-          ::kill(s.pid, SIGKILL);
-          break;
-        case FaultPlan::Kind::stall:
-          // The worker lives but its heartbeat stops; only the lease can
-          // catch this, which is exactly what the harness verifies.
-          ::kill(s.pid, SIGSTOP);
-          break;
-        case FaultPlan::Kind::corrupt:
-          ::kill(s.pid, SIGKILL);
-          s.corrupt_pending = true;
-          break;
-      }
-    }
-
-    if (seconds_between(s.last_progress, Clock::now()) > options_.lease.timeout_seconds) {
-      // Lease expired: no journal growth for the whole window. SIGKILL is
-      // safe on live, wedged and SIGSTOPped processes alike.
-      ::kill(s.pid, SIGKILL);
-      int st = 0;
-      ::waitpid(s.pid, &st, 0);
-      on_death(index,
-               "lease expired (no journal progress for " +
-                   std::to_string(options_.lease.timeout_seconds) + "s)",
-               /*permanent=*/false);
+      fault_fired[f] = 1;
+      event("fault injected on shard " + std::to_string(shard) + ": " + fault.describe());
+      // stall: the runner lives but its heartbeat stops; only the lease
+      // can catch it, which is exactly what the harness verifies.
+      slot.runner->signal(fault.kind == FaultPlan::Kind::stall ? SIGSTOP : SIGKILL);
+      if (fault.kind == FaultPlan::Kind::corrupt) slot.corrupt_pending = true;
     }
   };
 
-  const auto reap = [&](std::size_t index) {
-    ShardState& s = shards[index];
-    int st = 0;
-    const ::pid_t got = ::waitpid(s.pid, &st, WNOHANG);
-    if (got != s.pid) return;
-    s.pid = -1;
-    if (s.corrupt_pending) {
-      append_torn_tail(s.journal_path);
-      s.corrupt_pending = false;
-    }
-    if (WIFEXITED(st)) {
-      const int code = WEXITSTATUS(st);
-      // Any exit that left a complete partial report covers the shard —
-      // including exit 1 from in-report run errors, which the merged
-      // report carries exactly like a single-process run would.
-      std::string why;
-      if (try_collect_partial(s, index, why)) {
-        s.status.state = ShardStatus::State::done;
-        s.status.journal_lines = stat_journal(s.journal_path).outcome_lines;
-        event("shard " + std::to_string(index) + " done (exit " + std::to_string(code) +
-              ", attempt " + std::to_string(s.status.attempts) + ")");
-        return;
-      }
-      if (code == kExitSuccess) {
-        on_death(index, "exit 0 but partial report unusable (" + why + ")",
-                 /*permanent=*/false);
-      } else {
-        on_death(index, "exit code " + std::to_string(code),
-                 /*permanent=*/!exit_code_retryable(code));
-      }
-      return;
-    }
-    if (WIFSIGNALED(st)) {
-      on_death(index, std::string("killed by signal ") + std::to_string(WTERMSIG(st)),
-               /*permanent=*/false);
-    }
+  event("supervising " + std::to_string(width) + " shards of " + options_.spec_path + " (" +
+        std::to_string(total_runs) + " runs, max " + std::to_string(options_.retry.max_attempts) +
+        " attempts/shard, lease " + std::to_string(options_.lease.timeout_seconds) + "s)" +
+        (width < options_.shards ? "; --shards clamped from " + std::to_string(options_.shards) +
+                                       " to the variant count"
+                                 : ""));
+
+  const std::size_t cap = options_.max_parallel == 0 ? width : options_.max_parallel;
+  double last_status = now();
+  const auto busy = [&] {
+    return static_cast<std::size_t>(std::count_if(
+        slots.begin(), slots.end(), [](const Slot& s) { return s.runner.has_value(); }));
   };
-
-  // Everything recovered so far, shard by shard: collected partials and
-  // retained journal outcomes for the dead, the live journal view for the
-  // running. Attempt-supersedes keeps it one outcome per index.
-  const auto recovered_outcomes = [&]() -> std::vector<RunOutcome> {
-    std::vector<std::vector<RunOutcome>> per_shard;
-    for (ShardState& s : shards) {
-      if (s.status.state == ShardStatus::State::done) {
-        per_shard.push_back(s.retained);
-        continue;
-      }
-      std::vector<RunOutcome> live;
-      read_journal_outcomes(s.journal_path, live);
-      try {
-        per_shard.push_back(merge_attempt_outcomes({s.retained, live}));
-      } catch (const std::exception& e) {
-        event(std::string("WARNING: ") + e.what());
-        per_shard.push_back(s.retained);
-      }
+  // Tick first, so a lease it expires is killed by this pass's heartbeat
+  // before the launch phase could re-grant the shard over the same journal.
+  while (!table.job_terminal(job) || busy() > 0) {
+    table.tick(now(), effects);
+    for (Slot& slot : slots) {
+      if (slot.runner) poll(slot);
     }
-    std::vector<RunOutcome> all;
-    for (std::vector<RunOutcome>& v : per_shard) {
-      all.insert(all.end(), std::make_move_iterator(v.begin()),
-                 std::make_move_iterator(v.end()));
+    for (std::size_t running = busy(); running < cap;) {
+      const auto idle = std::find_if(slots.begin(), slots.end(),
+                                     [](const Slot& s) { return !s.runner.has_value(); });
+      if (idle == slots.end()) break;
+      const std::optional<serve::Lease> lease = table.request_lease(idle->worker, now(), effects);
+      if (!lease) break;
+      const std::size_t attempt = ++shards[lease->shard].attempts;
+      idle->lease = lease->id;
+      idle->runner.emplace(RunnerCommand{
+          .runner = options_.runner,
+          .spec_path = options_.spec_path,
+          .shard = lease->shard,
+          .of = lease->of,
+          .stem = options_.work_dir + "/shard_" + std::to_string(lease->shard),
+          .threads = options_.worker_threads,
+          .throttle_ms = options_.throttle_ms,
+      });
+      event("shard " + std::to_string(lease->shard) + " attempt " + std::to_string(attempt) +
+            " launched (pid " + std::to_string(idle->runner->pid()) + ")");
+      ++running;
     }
-    std::sort(all.begin(), all.end(),
-              [](const RunOutcome& a, const RunOutcome& b) { return a.index < b.index; });
-    return all;
-  };
+    effects = {};
 
-  event("supervising " + std::to_string(options_.shards) + " shards of " + options_.spec_path +
-        " (" + std::to_string(total_runs) + " runs, max " +
-        std::to_string(options_.retry.max_attempts) + " attempts/shard, lease " +
-        std::to_string(options_.lease.timeout_seconds) + "s)");
-
-  Clock::time_point last_status = Clock::now();
-  while (true) {
-    std::size_t running = 0;
-    for (const ShardState& s : shards) {
-      if (s.status.state == ShardStatus::State::running) ++running;
+    if (now() - last_status >= options_.lease.status_interval_seconds) {
+      last_status = now();
+      const Json doc = table.status_json();
+      const Json& status = doc.at("jobs").items().front();
+      event("progress: " + std::to_string(status.at("covered_runs").as_uint()) + "/" +
+            std::to_string(total_runs) + " runs; " + std::to_string(busy()) +
+            " runners live; partial aggregate: " + status.at("aggregate").dump());
     }
-    const std::size_t cap =
-        options_.max_parallel == 0 ? shards.size() : options_.max_parallel;
-    for (std::size_t i = 0; i < shards.size() && running < cap; ++i) {
-      ShardState& s = shards[i];
-      const bool due_retry =
-          s.status.state == ShardStatus::State::backoff && Clock::now() >= s.retry_at;
-      if (s.status.state == ShardStatus::State::pending || due_retry) {
-        spawn(i);
-        if (s.status.state == ShardStatus::State::running) ++running;
-      }
-    }
-
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      if (shards[i].status.state != ShardStatus::State::running) continue;
-      reap(i);
-      if (shards[i].status.state == ShardStatus::State::running) poll_running(i);
-    }
-
-    const bool all_terminal =
-        std::all_of(shards.begin(), shards.end(), [](const ShardState& s) {
-          return is_terminal(s);
-        });
-    if (all_terminal) break;
-
-    if (seconds_between(last_status, Clock::now()) >= options_.lease.status_interval_seconds) {
-      last_status = Clock::now();
-      const std::vector<RunOutcome> all = recovered_outcomes();
-      std::size_t done = 0, in_flight = 0, backoff = 0, failed = 0;
-      for (const ShardState& s : shards) {
-        switch (s.status.state) {
-          case ShardStatus::State::done: ++done; break;
-          case ShardStatus::State::running: ++in_flight; break;
-          case ShardStatus::State::backoff: ++backoff; break;
-          case ShardStatus::State::failed: ++failed; break;
-          case ShardStatus::State::pending: break;
-        }
-      }
-      event("progress: " + std::to_string(all.size()) + "/" + std::to_string(total_runs) +
-            " runs; shards " + std::to_string(done) + " done, " + std::to_string(in_flight) +
-            " running, " + std::to_string(backoff) + " backoff, " + std::to_string(failed) +
-            " failed; partial aggregate: " + BatchRunner::aggregate(all).to_json().dump());
-    }
-
     std::this_thread::sleep_for(std::chrono::duration<double>(
         std::max(options_.lease.poll_interval_seconds, 0.001)));
   }
 
   SupervisorResult result;
   result.total_runs = total_runs;
-  for (ShardState& s : shards) result.shards.push_back(s.status);
-
-  const bool all_done = std::all_of(shards.begin(), shards.end(), [](const ShardState& s) {
-    return s.status.state == ShardStatus::State::done;
-  });
-  if (all_done) {
-    std::vector<Json> partials;
-    partials.reserve(shards.size());
-    for (ShardState& s : shards) partials.push_back(std::move(s.partial));
-    try {
-      result.report = merge_partial_reports(partials);
-      result.complete = true;
-      result.covered_runs = total_runs;
-      const std::size_t errors =
-          static_cast<std::size_t>(result.report.at("aggregate").at("errors").as_uint());
-      result.exit_code = errors == 0 ? kExitSuccess : kExitPermanent;
-      event("complete: merged " + std::to_string(shards.size()) + " partial reports (" +
-            std::to_string(total_runs) + " runs" +
-            (errors > 0 ? ", " + std::to_string(errors) + " run errors" : "") + ")");
-      return result;
-    } catch (const std::exception& e) {
-      // Partials that refuse to merge degrade to the partial document —
-      // an explicit inconsistency report, never a silent wrong answer.
-      event(std::string("merge failed: ") + e.what());
-      result.report = Json::object();
-      result.report.set("merge_error", std::string(e.what()));
+  result.report = table.job_report(job);
+  result.complete = table.job_done(job);
+  result.exit_code = table.job_exit_code(job);
+  for (ShardStatus& st : shards) st.state = ShardStatus::State::done;
+  if (!result.complete) {
+    for (const Json& s : result.report.at("uncovered_shards").items()) {
+      shards[static_cast<std::size_t>(s.as_uint())].state = ShardStatus::State::failed;
     }
   }
-
-  // Degraded output: every recovered outcome plus an explicit statement of
-  // what is NOT covered.
-  const std::vector<RunOutcome> all = recovered_outcomes();
-  Json merge_err = result.report.is_object() && result.report.contains("merge_error")
-                       ? std::move(result.report)
-                       : Json::object();
-  Json out = Json::object();
-  out.set("format", kSupervisedFormat);
-  out.set("complete", false);
-  out.set("spec", options_.spec_path);
-  out.set("total_runs", total_runs);
-  out.set("covered_runs", all.size());
-  JsonArray uncovered;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (shards[i].status.state != ShardStatus::State::done) uncovered.push_back(Json(i));
+  result.shards = std::move(shards);
+  result.covered_runs = result.report.at("runs").items().size();
+  if (result.complete) {
+    const std::size_t errors =
+        static_cast<std::size_t>(result.report.at("aggregate").at("errors").as_uint());
+    event("complete: " + std::to_string(total_runs) + " runs over " + std::to_string(width) +
+          " shards" + (errors > 0 ? ", " + std::to_string(errors) + " run errors" : ""));
+  } else {
+    event("INCOMPLETE: " + std::to_string(result.covered_runs) + "/" +
+          std::to_string(total_runs) +
+          " runs covered; see uncovered_variants/uncovered_shards in the partial report");
   }
-  out.set("uncovered_shards", Json(std::move(uncovered)));
-  JsonArray shard_docs;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const ShardStatus& st = shards[i].status;
-    Json sd = Json::object();
-    sd.set("index", i);
-    sd.set("state", st.state_name());
-    sd.set("attempts", st.attempts);
-    sd.set("journal_lines", st.journal_lines);
-    if (!st.last_failure.empty()) sd.set("last_failure", st.last_failure);
-    shard_docs.push_back(std::move(sd));
-  }
-  out.set("shards", Json(std::move(shard_docs)));
-  if (merge_err.contains("merge_error")) out.set("merge_error", merge_err.at("merge_error"));
-  out.set("aggregate", BatchRunner::aggregate(all).to_json());
-  JsonArray runs;
-  for (const RunOutcome& o : all) runs.push_back(o.to_json());
-  out.set("runs", Json(std::move(runs)));
-
-  result.report = std::move(out);
-  result.complete = false;
-  result.covered_runs = all.size();
-  result.exit_code = kExitPermanent;
-  event("INCOMPLETE: " + std::to_string(all.size()) + "/" + std::to_string(total_runs) +
-        " runs covered; see uncovered_shards in the partial report");
   return result;
 }
 

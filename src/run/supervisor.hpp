@@ -1,46 +1,23 @@
-// Fault-tolerant sweep supervision: launch `cohesion_run --shard i/N`
-// worker processes, watch each shard under a lease, and retry dead shards
-// until the sweep's merged report is byte-identical to the single-process
-// `--no-timing` report — or, when a shard exhausts its retry budget, emit
-// a coverage-annotated partial report instead of nothing.
+// Fault-tolerant sweep supervision on one host: cohesion_launch's front
+// over cohesion_serve's scheduling brain. Supervisor::run() submits the
+// resolved spec to an in-process serve::JobTable — which owns leases,
+// seeded backoff, poisoning, the attempt-supersedes fold and the degraded
+// document — registers min(shards, variants) local worker slots, so the
+// partition width stays `shards` whenever shards <= variants, and runs
+// each leased shard as one run/runner_process runner. Contract 9 is
+// contract 13 with a fixed local worker set: the report is byte-identical
+// to the single-process `--no-timing` report, or the explicit
+// "cohesion-supervised-partial/1" document naming what is not covered.
 //
-// The moving parts:
-//
-//   * Lease/heartbeat. A worker's heartbeat is its checkpoint journal:
-//     every completed run appends one fsync'd line, so journal growth
-//     (bytes + complete lines) is progress. A shard whose journal stops
-//     growing for LeaseConfig::timeout_seconds has lost its lease — the
-//     supervisor SIGKILLs whatever is left of it and treats it as a
-//     transient death. No in-band protocol, no pipes: a worker that is
-//     alive but wedged (or SIGSTOPped) is indistinguishable from a dead
-//     one, which is exactly the point.
-//   * Retry with exponential backoff + deterministic jitter. Transient
-//     deaths (signals, lease expiry, exit codes 3/4) are relaunched with
-//     `--resume` against the same journal, so completed runs are never
-//     recomputed; RetryPolicy caps attempts and spreads relaunches with a
-//     seeded jitter source (pure function of shard + attempt — asserted
-//     in tests, so backoff schedules are reproducible). Permanent exits
-//     (1/2: bad spec, fingerprint mismatch) fail the shard immediately.
-//   * Degraded output. While shards are in flight the supervisor streams
-//     progress + a partial aggregate (folded over every journaled outcome
-//     so far) through SupervisorOptions::on_event. When every shard
-//     completes, the partial reports merge byte-identically
-//     (run::merge_partial_reports); when any shard fails for good, the
-//     result is a "cohesion-supervised-partial/1" document that names the
-//     uncovered shards and still carries everything recovered from their
-//     journals — never a silent wrong answer.
-//   * Fault injection. FaultPlan sabotages a specific (shard, attempt)
-//     from the supervisor's poll loop — SIGKILL after k journal lines,
-//     SIGSTOP (a heartbeat stall the lease must catch), or kill + corrupt
-//     the journal tail (which `--resume` must truncate away). The
-//     injection matrix is driven by tests/run/launch_e2e_test.cpp and the
-//     fault_sweep stage of bench/run_benches.sh; the acceptance bar is
-//     byte-identity of the supervised report under every schedule.
-//
-// Single-host first: workers are fork/exec'd children on this machine.
-// The multi-host story composes on top (each host runs one supervisor
-// over its own shard range; journals and partials are plain files) — see
-// docs/operations.md.
+// Each poll ticks the lease clock, then per busy slot reaps a finished
+// runner (classify, then complete/fail with its journal's outcomes) or
+// heartbeats it; a refused heartbeat means the lease expired, so the
+// runner is SIGKILLed and its outcomes folded. Idle slots then request
+// leases, at most max_parallel at a time. FaultPlan sabotages a (shard,
+// launch number) from the same loop — the matrix driven by
+// tests/run/launch_e2e_test.cpp and the fault_sweep bench stage. Runner
+// files live in the work dir as shard_<i>.{ckpt,partial.json,log}, the
+// manual-recovery interface of docs/operations.md.
 #pragma once
 
 #include <cstddef>
@@ -51,15 +28,17 @@
 
 #include "run/batch_runner.hpp"
 #include "run/json.hpp"
+#include "run/runner_process.hpp"
 
 namespace cohesion::run {
 
 /// Exponential backoff with seeded jitter. backoff_seconds is a pure
-/// function of (shard, attempt) — deterministic schedules, testable and
-/// reproducible across supervisor restarts — while still de-synchronizing
-/// shards that died together (jitter differs per shard).
+/// function of (shard, attempt) — serve::JobTable passes the variant as the
+/// shard — so schedules are deterministic, testable and reproducible
+/// across restarts, while still de-synchronizing shards that died
+/// together (jitter differs per shard).
 struct RetryPolicy {
-  std::size_t max_attempts = 3;    ///< total launches per shard (>= 1)
+  std::size_t max_attempts = 3;    ///< total launches per shard/variant (>= 1)
   double base_delay_seconds = 0.25;///< backoff before the 2nd attempt
   double multiplier = 2.0;         ///< growth per further attempt
   double max_delay_seconds = 30.0; ///< cap before jitter
@@ -104,18 +83,17 @@ struct FaultPlan {
 
 /// Where one shard ended up, for reports and tests.
 struct ShardStatus {
-  enum class State { pending, running, backoff, done, failed };
-  State state = State::pending;
-  std::size_t attempts = 0;       ///< launches so far
+  enum class State { done, failed };
+  State state = State::failed;    ///< done: every variant of the shard covered
+  std::size_t attempts = 0;       ///< launches
   std::size_t journal_lines = 0;  ///< completed-outcome lines last observed
   std::string last_failure;       ///< most recent death, human-readable
-  [[nodiscard]] const char* state_name() const;
 };
 
 struct SupervisorOptions {
   std::string runner;          ///< cohesion_run binary (default: sibling of this process)
   std::string spec_path;       ///< experiment spec file, passed through to workers
-  std::size_t shards = 1;      ///< N in --shard i/N
+  std::size_t shards = 1;      ///< N in --shard i/N; clamped to the variant count
   std::size_t worker_threads = 1;  ///< --threads per worker
   std::size_t max_parallel = 0;    ///< concurrently running workers; 0 = all
   std::size_t throttle_ms = 0;     ///< forwarded as --throttle-ms (fault harness pacing)
@@ -130,45 +108,44 @@ struct SupervisorOptions {
 
 struct SupervisorResult {
   bool complete = false;   ///< every shard covered; `report` is the merged report
-  Json report;             ///< merged single-process report, or the partial doc
-  std::vector<ShardStatus> shards;
+  Json report;             ///< single-process report, or the supervised-partial doc
+  std::vector<ShardStatus> shards;  ///< one per shard of the (clamped) partition
   std::size_t total_runs = 0;
   std::size_t covered_runs = 0;  ///< outcomes present in `report`
   int exit_code = 1;             ///< suggested process exit (run/exit_codes.hpp)
 };
 
-/// Collapse per-attempt outcome lists for one shard into exactly one
-/// outcome per grid index — the merge a supervisor needs when a retry's
-/// journal overlaps its dead predecessor's. Semantics (attempt-supersedes):
-///   * an index only one attempt produced keeps that outcome;
-///   * two *completed* outcomes (no `error`) for the same index must be
-///     byte-identical (outcomes are deterministic — a difference means the
-///     attempts ran different specs or the engine is nondeterministic) or
-///     the merge throws std::runtime_error naming the index;
+/// The attempt-supersedes rule for one grid index: fold `incoming` into
+/// `kept`, an outcome for the same index.
+///   * two *completed* outcomes (no `error`) must be byte-identical
+///     (outcomes are deterministic — a difference means the attempts ran
+///     different specs or the engine is nondeterministic): `conflict`;
 ///   * a completed outcome supersedes an errored one in either direction
 ///     (the error was environmental; the completed result is the run's one
-///     true outcome); between two errored outcomes the later attempt wins.
-/// Returns outcomes sorted by grid index.
+///     true outcome); between two errored outcomes the later one wins.
+/// Callers decide what a conflict costs: merge_attempt_outcomes throws,
+/// serve::JobTable fails the job.
+enum class FoldResult { kept, replaced, conflict };
+FoldResult fold_attempt_outcome(RunOutcome& kept, const RunOutcome& incoming);
+
+/// Collapse per-attempt outcome lists for one shard into exactly one
+/// outcome per grid index by fold_attempt_outcome; an index only one
+/// attempt produced keeps that outcome, and a conflict throws
+/// std::runtime_error naming the index. Returns outcomes sorted by grid
+/// index.
 std::vector<RunOutcome> merge_attempt_outcomes(
     const std::vector<std::vector<RunOutcome>>& attempts);
-
-/// Read every complete outcome line of a checkpoint journal (header
-/// skipped, torn tail ignored) without validating fingerprints — the
-/// supervisor's heartbeat/partial-aggregate view of a worker's progress.
-/// Returns false when the file is missing/empty. Unparseable complete
-/// lines are skipped (a live worker may be mid-write of weird state; the
-/// authoritative read is the worker's own resume).
-bool read_journal_outcomes(const std::string& path, std::vector<RunOutcome>& outcomes);
 
 class Supervisor {
  public:
   explicit Supervisor(SupervisorOptions options);
 
   /// Run the whole supervised sweep to a terminal state. Blocking; returns
-  /// rather than throws for everything attributable to workers (their
-  /// failures land in the result). Throws std::runtime_error only for
-  /// supervisor-level misuse: unreadable/invalid spec, shards == 0, or an
-  /// un-creatable work dir.
+  /// rather than throws for everything attributable to runners (their
+  /// failures land in the result). Throws only for supervisor-level
+  /// misuse: shards == 0, max_attempts == 0, a runner that is not
+  /// executable, an invalid spec or an un-creatable work dir
+  /// (std::runtime_error), or an unreadable spec (TransientError).
   [[nodiscard]] SupervisorResult run();
 
  private:

@@ -88,11 +88,8 @@ void JobTable::worker_left(std::uint64_t worker, double now, Effects& effects) {
     if (lease.worker == worker) held.push_back(id);
   }
   for (const std::uint64_t id : held) {
-    LeaseState lease = leases_.at(id);
-    leases_.erase(id);
-    revoked_[id] = lease.job;
+    const LeaseState lease = *end_lease(id, {}, effects);
     JobState& j = job_or_throw(lease.job);
-    j.leased_shards.erase(lease.shard);
     j.last_failure = "worker connection lost (lease " + std::to_string(id) + ", shard " +
                      std::to_string(lease.shard) + "/" + std::to_string(lease.of) + ")";
     effects.notes.push_back("job " + std::to_string(lease.job) + ": " + j.last_failure);
@@ -133,19 +130,18 @@ void JobTable::record_outcomes(JobState& j, const std::vector<run::RunOutcome>& 
                               "out-of-range index " + std::to_string(o.index));
       continue;
     }
-    auto it = j.outcomes.find(o.index);
-    if (it == j.outcomes.end()) {
-      j.outcomes.emplace(o.index, o);
+    const auto [it, added] = j.outcomes.try_emplace(o.index, o);
+    if (added) {
       effects.fresh.emplace_back(j.id, o);
       continue;
     }
-    // Attempt-supersedes fold, same semantics as merge_attempt_outcomes:
-    // completed beats errored; two completed must be byte-identical; two
-    // errored — the later arrival wins.
-    const bool have_completed = it->second.error.empty();
-    const bool new_completed = o.error.empty();
-    if (have_completed && new_completed) {
-      if (it->second.to_json().dump() != o.to_json().dump()) {
+    switch (run::fold_attempt_outcome(it->second, o)) {
+      case run::FoldResult::kept:
+        break;
+      case run::FoldResult::replaced:
+        effects.fresh.emplace_back(j.id, o);
+        break;
+      case run::FoldResult::conflict:
         // Two workers computed the same grid index and disagreed: either
         // they ran different specs or the engine is nondeterministic.
         // Never pick one silently — fail the job, naming the index.
@@ -156,19 +152,7 @@ void JobTable::record_outcomes(JobState& j, const std::vector<run::RunOutcome>& 
         effects.failed_jobs.push_back(j.id);
         effects.notes.push_back("job " + std::to_string(j.id) + ": " + j.merge_error);
         return;
-      }
-      continue;  // identical duplicate — not fresh
     }
-    if (!have_completed && new_completed) {
-      it->second = o;
-      effects.fresh.emplace_back(j.id, o);
-      continue;
-    }
-    if (!have_completed && !new_completed) {
-      it->second = o;
-      effects.fresh.emplace_back(j.id, o);
-    }
-    // have_completed && !new_completed: keep the completed outcome.
   }
 }
 
@@ -283,19 +267,38 @@ std::optional<Lease> JobTable::request_lease(std::uint64_t worker, double now,
   return std::nullopt;
 }
 
+void JobTable::fold_late(std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes,
+                         Effects& effects) {
+  auto rv = revoked_.find(lease_id);
+  if (rv == revoked_.end() || !jobs_.count(rv->second)) return;
+  JobState& j = jobs_.at(rv->second);
+  record_outcomes(j, outcomes, effects);
+  check_terminal(j, effects);
+}
+
+std::optional<JobTable::LeaseState> JobTable::end_lease(
+    std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes, Effects& effects) {
+  auto it = leases_.find(lease_id);
+  if (it == leases_.end()) {
+    fold_late(lease_id, outcomes, effects);
+    return std::nullopt;
+  }
+  const LeaseState lease = it->second;
+  leases_.erase(it);
+  revoked_[lease_id] = lease.job;
+  JobState& j = job_or_throw(lease.job);
+  j.leased_shards.erase(lease.shard);
+  record_outcomes(j, outcomes, effects);
+  return lease;
+}
+
 bool JobTable::heartbeat(std::uint64_t lease_id, std::size_t journal_bytes,
                          std::size_t journal_lines,
                          const std::vector<run::RunOutcome>& outcomes, double now,
                          Effects& effects) {
   auto it = leases_.find(lease_id);
   if (it == leases_.end()) {
-    // Revoked or unknown: the data is still welcome, the lease is not.
-    auto rv = revoked_.find(lease_id);
-    if (rv != revoked_.end() && jobs_.count(rv->second)) {
-      JobState& j = jobs_.at(rv->second);
-      record_outcomes(j, outcomes, effects);
-      check_terminal(j, effects);
-    }
+    fold_late(lease_id, outcomes, effects);
     return false;
   }
   LeaseState& lease = it->second;
@@ -316,33 +319,20 @@ bool JobTable::heartbeat(std::uint64_t lease_id, std::size_t journal_bytes,
 
 void JobTable::complete(std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes,
                         double now, Effects& effects) {
-  auto it = leases_.find(lease_id);
-  if (it == leases_.end()) {
-    auto rv = revoked_.find(lease_id);
-    if (rv != revoked_.end() && jobs_.count(rv->second)) {
-      JobState& j = jobs_.at(rv->second);
-      record_outcomes(j, outcomes, effects);
-      check_terminal(j, effects);
-    }
-    return;
-  }
-  const LeaseState lease = it->second;
-  leases_.erase(it);
-  revoked_[lease_id] = lease.job;
-  JobState& j = job_or_throw(lease.job);
-  j.leased_shards.erase(lease.shard);
-  record_outcomes(j, outcomes, effects);
+  const std::optional<LeaseState> lease = end_lease(lease_id, outcomes, effects);
+  if (!lease) return;
+  JobState& j = job_or_throw(lease->job);
   // A "complete" that left shard variants uncovered is a short delivery —
   // treat it as one failed attempt so the budget still bounds it.
   bool uncovered = false;
-  for (std::size_t v = lease.shard; v < j.variants; v += lease.of) {
+  for (std::size_t v = lease->shard; v < j.variants; v += lease->of) {
     if (!variant_covered(j, v)) { uncovered = true; break; }
   }
   if (uncovered && !j.failed) {
     effects.notes.push_back("job " + std::to_string(j.id) + ": lease " +
                             std::to_string(lease_id) + " completed short of covering shard " +
-                            std::to_string(lease.shard) + "/" + std::to_string(lease.of));
-    penalize_shard(j, lease.shard, lease.of, /*poison=*/false, now, effects);
+                            std::to_string(lease->shard) + "/" + std::to_string(lease->of));
+    penalize_shard(j, lease->shard, lease->of, /*poison=*/false, now, effects);
   }
   check_terminal(j, effects);
 }
@@ -350,53 +340,27 @@ void JobTable::complete(std::uint64_t lease_id, const std::vector<run::RunOutcom
 void JobTable::fail(std::uint64_t lease_id, int exit_code, const std::string& reason,
                     const std::vector<run::RunOutcome>& outcomes, double now,
                     Effects& effects) {
-  auto it = leases_.find(lease_id);
-  if (it == leases_.end()) {
-    auto rv = revoked_.find(lease_id);
-    if (rv != revoked_.end() && jobs_.count(rv->second)) {
-      JobState& j = jobs_.at(rv->second);
-      record_outcomes(j, outcomes, effects);
-      check_terminal(j, effects);
-    }
-    return;
-  }
-  const LeaseState lease = it->second;
-  leases_.erase(it);
-  revoked_[lease_id] = lease.job;
-  JobState& j = job_or_throw(lease.job);
-  j.leased_shards.erase(lease.shard);
-  record_outcomes(j, outcomes, effects);
+  const std::optional<LeaseState> lease = end_lease(lease_id, outcomes, effects);
+  if (!lease) return;
+  JobState& j = job_or_throw(lease->job);
   const bool poison = !run::exit_code_retryable(exit_code) && exit_code != run::kExitSuccess;
-  j.last_failure = "shard " + std::to_string(lease.shard) + "/" + std::to_string(lease.of) +
+  j.last_failure = "shard " + std::to_string(lease->shard) + "/" + std::to_string(lease->of) +
                    " failed (exit " + std::to_string(exit_code) + "): " + reason;
   effects.notes.push_back("job " + std::to_string(j.id) + ": " + j.last_failure +
                           (poison ? " [permanent]" : " [retryable]"));
-  penalize_shard(j, lease.shard, lease.of, poison, now, effects);
+  penalize_shard(j, lease->shard, lease->of, poison, now, effects);
   check_terminal(j, effects);
 }
 
 void JobTable::release(std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes,
                        double now, Effects& effects) {
   (void)now;
-  auto it = leases_.find(lease_id);
-  if (it == leases_.end()) {
-    auto rv = revoked_.find(lease_id);
-    if (rv != revoked_.end() && jobs_.count(rv->second)) {
-      JobState& j = jobs_.at(rv->second);
-      record_outcomes(j, outcomes, effects);
-      check_terminal(j, effects);
-    }
-    return;
-  }
-  const LeaseState lease = it->second;
-  leases_.erase(it);
-  revoked_[lease_id] = lease.job;
-  JobState& j = job_or_throw(lease.job);
-  j.leased_shards.erase(lease.shard);
-  record_outcomes(j, outcomes, effects);
+  const std::optional<LeaseState> lease = end_lease(lease_id, outcomes, effects);
+  if (!lease) return;
+  JobState& j = job_or_throw(lease->job);
   effects.notes.push_back("job " + std::to_string(j.id) + ": lease " +
                           std::to_string(lease_id) + " released (shard " +
-                          std::to_string(lease.shard) + "/" + std::to_string(lease.of) + ")");
+                          std::to_string(lease->shard) + "/" + std::to_string(lease->of) + ")");
   check_terminal(j, effects);
 }
 
@@ -406,11 +370,8 @@ void JobTable::tick(double now, Effects& effects) {
     if (now - lease.last_progress > config_.lease_timeout_seconds) expired.push_back(id);
   }
   for (const std::uint64_t id : expired) {
-    const LeaseState lease = leases_.at(id);
-    leases_.erase(id);
-    revoked_[id] = lease.job;
+    const LeaseState lease = *end_lease(id, {}, effects);
     JobState& j = job_or_throw(lease.job);
-    j.leased_shards.erase(lease.shard);
     j.last_failure = "lease " + std::to_string(id) + " expired (shard " +
                      std::to_string(lease.shard) + "/" + std::to_string(lease.of) +
                      ": journal silent past " +

@@ -1,8 +1,9 @@
 // The daemon's brain, factored out of all socket/process concerns so every
 // scheduling decision is unit-testable with an injected clock: jobs,
 // workers, shard leases, elastic re-partitioning and retry/poisoning are
-// pure state transitions on this table; the daemon loop (serve/daemon)
-// just moves messages between it and the wire.
+// pure state transitions on this table. The daemon loop (serve/daemon)
+// moves messages between it and the wire; run/supervisor (cohesion_launch)
+// drives it in-process with a fixed set of local worker slots.
 //
 // Scheduling model:
 //
@@ -12,15 +13,14 @@
 //     variant count) and changed elastically when workers join or die.
 //     Global grid indices and derived seeds never depend on N, so
 //     outcomes collected under different widths merge exactly
-//     (run::merge_attempt_outcomes semantics) — that is what makes
+//     (run::fold_attempt_outcome, attempt-supersedes) — that is what makes
 //     re-partitioning safe (contract 13).
 //   * A lease binds (job, shard, N) to a worker. The heartbeat is the
 //     worker's checkpoint-journal growth, relayed as (bytes, lines) plus
 //     the newly journaled outcomes; a lease whose journal stops growing
-//     for lease_timeout_seconds is expired by tick() — wedged == dead,
-//     same philosophy as run/supervisor. Expired/failed leases put their
-//     uncovered variants under RetryPolicy seeded backoff; a variant that
-//     exhausts max_attempts is poisoned.
+//     for lease_timeout_seconds is expired by tick() — wedged == dead.
+//     Expired/failed leases put their uncovered variants under RetryPolicy
+//     seeded backoff; a variant that exhausts max_attempts is poisoned.
 //   * Re-partitioning revokes outstanding leases *gracefully*: the lease
 //     id moves to a revoked set, the worker learns on its next heartbeat,
 //     SIGTERMs its runner (journal flushes) and returns every journaled
@@ -190,10 +190,18 @@ class JobTable {
   [[nodiscard]] bool variant_covered(const JobState& j, std::size_t v) const;
   [[nodiscard]] bool variant_poisoned(const JobState& j, std::size_t v) const;
   [[nodiscard]] std::size_t desired_partition(const JobState& j) const;
-  /// Fold outcomes in (attempt-supersedes). A byte-level conflict between
-  /// two completed outcomes fails the job, naming the index.
+  /// Fold outcomes in by run::fold_attempt_outcome. A byte-level conflict
+  /// between two completed outcomes fails the job, naming the index.
   void record_outcomes(JobState& j, const std::vector<run::RunOutcome>& outcomes,
                        Effects& effects);
+  /// Late data for a revoked lease: still folded in.
+  void fold_late(std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes,
+                 Effects& effects);
+  /// End an active lease and fold `outcomes`; nullopt (after fold_late) if
+  /// the lease was not active.
+  std::optional<LeaseState> end_lease(std::uint64_t lease_id,
+                                      const std::vector<run::RunOutcome>& outcomes,
+                                      Effects& effects);
   void penalize_shard(JobState& j, std::size_t shard, std::size_t of, bool poison,
                       double now, Effects& effects);
   void repartition(JobState& j, std::size_t new_n, Effects& effects);

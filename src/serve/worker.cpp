@@ -1,16 +1,9 @@
 #include "serve/worker.hpp"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -18,7 +11,7 @@
 
 #include "run/batch_runner.hpp"
 #include "run/exit_codes.hpp"
-#include "run/supervisor.hpp"
+#include "run/runner_process.hpp"
 
 namespace cohesion::serve {
 
@@ -26,50 +19,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr const char* kPartialFormat = "cohesion-partial-report/1";
-
-std::string sibling_runner() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "cohesion_run";
-  buf[n] = '\0';
-  const std::string exe(buf);
-  const std::size_t slash = exe.rfind('/');
-  if (slash == std::string::npos) return "cohesion_run";
-  return exe.substr(0, slash + 1) + "cohesion_run";
-}
-
-struct JournalStat {
-  std::size_t bytes = 0;
-  std::size_t outcome_lines = 0;
-};
-
-JournalStat stat_journal(const std::string& path) {
-  JournalStat s;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return s;
-  std::size_t lines = 0;
-  char chunk[1 << 14];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    const std::streamsize got = in.gcount();
-    s.bytes += static_cast<std::size_t>(got);
-    lines += static_cast<std::size_t>(std::count(chunk, chunk + got, '\n'));
-    if (got < static_cast<std::streamsize>(sizeof(chunk))) break;
-  }
-  s.outcome_lines = lines > 0 ? lines - 1 : 0;  // line 1 is the header
-  return s;
-}
-
-Json outcomes_json(const std::vector<run::RunOutcome>& outcomes, std::size_t from = 0) {
+Json outcomes_json(const std::vector<run::RunOutcome>& outcomes) {
   JsonArray arr;
-  for (std::size_t i = from; i < outcomes.size(); ++i) arr.push_back(outcomes[i].to_json());
+  for (const run::RunOutcome& o : outcomes) arr.push_back(o.to_json());
   return Json(std::move(arr));
 }
 
 class WorkerLoop {
  public:
   explicit WorkerLoop(const WorkerOptions& options) : options_(options) {
-    if (options_.runner.empty()) options_.runner = sibling_runner();
+    if (options_.runner.empty()) options_.runner = run::sibling_runner();
     if (options_.name.empty()) options_.name = "worker-" + std::to_string(::getpid());
   }
 
@@ -197,20 +156,12 @@ class WorkerLoop {
     return true;
   }
 
-  struct Runner {
-    ::pid_t pid = -1;
-    std::string journal;
-    std::string partial;
-  };
-
   /// -1: keep serving; >=0: exit the worker with this code.
   int execute_lease(const Json& lease) {
     const std::uint64_t lease_id = lease.uint_or("id", 0);
     const std::uint64_t job = lease.uint_or("job", 0);
     const std::size_t shard = static_cast<std::size_t>(lease.uint_or("shard", 0));
     const std::size_t of = static_cast<std::size_t>(lease.uint_or("of", 1));
-    const std::string stem = options_.work_dir + "/job" + std::to_string(job) + "_s" +
-                             std::to_string(shard) + "of" + std::to_string(of);
     const std::string spec_path =
         options_.work_dir + "/job" + std::to_string(job) + ".spec.json";
     {
@@ -218,132 +169,84 @@ class WorkerLoop {
       if (!out) throw run::TransientError("cannot write " + spec_path);
       out << lease.at("spec").dump(2) << '\n';
     }
-    Runner r;
-    r.journal = stem + ".ckpt";
-    r.partial = stem + ".partial.json";
-    ::unlink(r.partial.c_str());
     event("lease " + std::to_string(lease_id) + ": job " + std::to_string(job) + " shard " +
           std::to_string(shard) + "/" + std::to_string(of));
 
-    std::vector<std::string> args = {
-        options_.runner, spec_path,
-        "--shard",       std::to_string(shard) + "/" + std::to_string(of),
-        "--resume",      r.journal,
-        "--out",         r.partial,
-        "--threads",     std::to_string(std::max<std::size_t>(options_.threads, 1)),
-    };
-    if (options_.throttle_ms > 0) {
-      args.push_back("--throttle-ms");
-      args.push_back(std::to_string(options_.throttle_ms));
-    }
-    r.pid = ::fork();
-    if (r.pid < 0) {
-      send_lease_end("fail", lease_id, {}, run::kExitTransient,
-                     std::string("fork failed (") + std::strerror(errno) + ")");
-      return -1;
-    }
-    if (r.pid == 0) {
-      const std::string log_path = stem + ".log";
-      const int log = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-      if (log >= 0) {
-        ::dup2(log, STDOUT_FILENO);
-        ::dup2(log, STDERR_FILENO);
-        if (log > STDERR_FILENO) ::close(log);
-      }
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      ::_exit(127);
-    }
+    run::RunnerProcess runner(run::RunnerCommand{
+        .runner = options_.runner,
+        .spec_path = spec_path,
+        .shard = shard,
+        .of = of,
+        .stem = options_.work_dir + "/job" + std::to_string(job) + "_s" +
+                std::to_string(shard) + "of" + std::to_string(of),
+        .threads = options_.threads,
+        .throttle_ms = options_.throttle_ms,
+    });
 
     // Watch loop: reap, heartbeat with journal growth + fresh outcomes,
     // obey revocations and stop signals.
-    std::size_t sent = 0;
     for (;;) {
-      int st = 0;
-      const ::pid_t got = ::waitpid(r.pid, &st, WNOHANG);
-      if (got == r.pid) return reap(lease_id, shard, of, r, st);
+      if (std::optional<run::RunnerExit> exit = runner.poll()) {
+        return reap(lease_id, runner.command().journal_path(), *exit);
+      }
       if (stopped()) {
-        // Graceful stop: the runner flushes its journal on SIGTERM (exit 4
-        // contract); everything journaled goes back with the release.
-        stop_runner(r);
-        try {
-          send_lease_end("release", lease_id, journal_outcomes(r.journal), 0, "");
-        } catch (const std::exception&) {
-          // The daemon reclaims the lease via the dropped connection.
-        }
+        stop_and_release(runner, lease_id);
         event("interrupted: lease " + std::to_string(lease_id) +
               " released, journal flushed");
         return run::kExitInterrupted;
       }
       nap(options_.heartbeat_interval_seconds);
-      const JournalStat js = stat_journal(r.journal);
-      const std::vector<run::RunOutcome> outcomes = journal_outcomes(r.journal);
+      run::JournalStat js;
+      const std::vector<run::RunOutcome> fresh = runner.heartbeat(js);
       Json hb = Json::object();
       hb.set("op", "heartbeat");
       hb.set("lease", lease_id);
       hb.set("journal_bytes", js.bytes);
       hb.set("journal_lines", js.outcome_lines);
-      hb.set("outcomes", outcomes_json(outcomes, std::min(sent, outcomes.size())));
+      hb.set("outcomes", outcomes_json(fresh));
       Json reply;
       try {
         reply = transact(hb);
       } catch (const run::TransientNetworkError& e) {
         event(std::string("heartbeat failed: ") + e.what());
-        stop_runner(r);
+        runner.stop();
         return -1;  // reconnect; the daemon reclaims via the dropped conn
       }
-      sent = outcomes.size();
       if (!reply.bool_or("valid", false)) {
-        // Revoked (elastic re-partition) or expired: stop, hand the
-        // journal back gracefully, ask for fresh work.
+        // Revoked (elastic re-partition) or expired: hand the journal back
+        // gracefully, ask for fresh work.
         event("lease " + std::to_string(lease_id) + " revoked — stopping runner");
-        stop_runner(r);
-        try {
-          send_lease_end("release", lease_id, journal_outcomes(r.journal), 0, "");
-        } catch (const run::TransientNetworkError&) {
-          return -1;
-        }
+        stop_and_release(runner, lease_id);
         return -1;
       }
     }
   }
 
-  int reap(std::uint64_t lease_id, std::size_t shard, std::size_t of, const Runner& r,
-           int status) {
-    const std::vector<run::RunOutcome> outcomes = journal_outcomes(r.journal);
-    std::string reason;
-    int code = run::kExitTransient;
-    bool covered = false;
-    if (WIFSIGNALED(status)) {
-      reason = "runner killed by signal " + std::to_string(WTERMSIG(status));
-    } else if (WIFEXITED(status)) {
-      code = WEXITSTATUS(status);
-      if (code == run::kExitSuccess) {
-        covered = true;
-      } else if (code == run::kExitPermanent && usable_partial(r.partial, shard, of)) {
-        // In-run errors: the partial report still covers the shard — the
-        // merged report carries them exactly like a single process would.
-        covered = true;
-      } else {
-        reason = "runner exited " + std::to_string(code);
-      }
-    } else {
-      reason = "runner ended abnormally";
-    }
+  /// Graceful hand-back: the runner flushes its journal on SIGTERM (exit 4
+  /// contract) and everything journaled goes back with the release.
+  void stop_and_release(run::RunnerProcess& runner, std::uint64_t lease_id) {
+    runner.stop();
     try {
-      if (covered) {
+      send_lease_end("release", lease_id, journal_outcomes(runner.command().journal_path()), 0,
+                     "");
+    } catch (const std::exception&) {
+      // The daemon reclaims the lease via the dropped connection.
+    }
+  }
+
+  int reap(std::uint64_t lease_id, const std::string& journal, const run::RunnerExit& exit) {
+    const std::vector<run::RunOutcome> outcomes = journal_outcomes(journal);
+    try {
+      if (exit.kind == run::RunnerExit::Kind::covered) {
         event("lease " + std::to_string(lease_id) + " complete (" +
               std::to_string(outcomes.size()) + " outcomes)");
         send_lease_end("complete", lease_id, outcomes, 0, "");
       } else {
-        event("lease " + std::to_string(lease_id) + " failed: " + reason);
-        send_lease_end("fail", lease_id, outcomes, code, reason);
+        event("lease " + std::to_string(lease_id) + " failed: runner " + exit.reason);
+        send_lease_end("fail", lease_id, outcomes, exit.exit_code, "runner " + exit.reason);
       }
     } catch (const run::TransientNetworkError&) {
-      return -1;  // reconnect; outcomes survive in the journal for re-lease
+      // Reconnect; the outcomes survive in the journal for the re-lease.
     }
     return -1;
   }
@@ -366,26 +269,6 @@ class WorkerLoop {
     std::vector<run::RunOutcome> outcomes;
     run::read_journal_outcomes(path, outcomes);
     return outcomes;
-  }
-
-  void stop_runner(Runner& r) {
-    if (r.pid <= 0) return;
-    ::kill(r.pid, SIGTERM);
-    int st = 0;
-    ::waitpid(r.pid, &st, 0);
-    r.pid = -1;
-  }
-
-  bool usable_partial(const std::string& path, std::size_t shard, std::size_t of) const {
-    try {
-      const Json doc = Json::parse_file(path);
-      if (doc.string_or("format", "") != kPartialFormat) return false;
-      const Json* sh = doc.find("shard");
-      if (sh == nullptr) return false;
-      return sh->uint_or("index", ~0ull) == shard && sh->uint_or("count", 0) == of;
-    } catch (const std::exception&) {
-      return false;
-    }
   }
 
   WorkerOptions options_;

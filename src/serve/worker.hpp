@@ -1,9 +1,9 @@
 // The cohesion_serve worker loop: turns any host with the binaries into a
 // sweep-cluster member. One connection to the daemon, one leased shard at
-// a time, each executed by fork/exec'ing `cohesion_run <spec> --shard i/N
-// --resume <journal>` — so every per-run guarantee (derived seeds, exact
-// checkpoint resume, partial-report determinism) is the proven PR 4/5
-// machinery, not a reimplementation.
+// a time, each executed as `cohesion_run <spec> --shard i/N --resume
+// <journal>` through run/runner_process — so every per-run guarantee
+// (derived seeds, exact checkpoint resume, partial-report determinism) is
+// the batch runner's own, not a reimplementation.
 //
 //   * Journals live in work_dir, keyed job<J>_s<I>of<N>.ckpt: re-leasing
 //     the same (job, shard, N) to this worker resumes its own journal and
@@ -11,22 +11,22 @@
 //     plus the newly journaled outcomes in each heartbeat — the daemon's
 //     lease clock *and* its streamed partial aggregate in one message.
 //   * A heartbeat answered valid=false means the lease is gone (revoked
-//     by an elastic re-partition, or expired): SIGTERM the runner (its
-//     journal flushes — exit 4 contract), hand every journaled outcome
-//     back via "release", and request fresh work.
-//   * Runner exits classify exactly like run/supervisor: a usable partial
-//     report covers the shard (exit 0, or exit 1 whose report carries the
-//     in-run errors); retryable exits (3/4/5, signals) are reported as
-//     transient failures the daemon re-leases under backoff; permanent
-//     exits (1 with no usable partial, 2) poison the shard's variants.
+//     by an elastic re-partition, or expired): stop the runner gracefully
+//     (SIGTERM + SIGCONT, so even a SIGSTOPped one flushes its journal —
+//     exit 4 contract), hand every journaled outcome back via "release",
+//     and request fresh work.
+//   * Runner exits go through run::classify_runner_exit, the rule
+//     cohesion_launch uses too: a covered shard completes its lease, a
+//     transient exit is re-leased under backoff, a permanent one poisons
+//     the shard's variants.
 //   * Connect failures — daemon not up yet, daemon restarting — retry
 //     under exponential backoff up to connect_attempts, then exit 5
 //     (run::kExitTransientNetwork): an outer supervisor (compose,
 //     systemd) knows relaunching may fix it. A connection lost mid-lease
 //     stops the runner and re-enters the same connect loop; the daemon
 //     reclaims the lease via the dropped connection.
-//   * SIGTERM/SIGINT (WorkerOptions::stop): SIGTERM the runner, wait for
-//     its journal flush, release the lease, exit run::kExitInterrupted —
+//   * SIGTERM/SIGINT (WorkerOptions::stop): stop the runner, wait for its
+//     journal flush, release the lease, exit run::kExitInterrupted —
 //     the same graceful-stop contract as cohesion_run.
 #pragma once
 

@@ -239,6 +239,41 @@ TEST_F(LaunchE2E, LaunchCliWritesTheByteIdenticalReportUnderAFault) {
   EXPECT_EQ(read_file(out), expected_report() + "\n");
 }
 
+TEST_F(LaunchE2E, PresetLayeredSweepCoversEveryRunByteIdentically) {
+  // The leaf layers only `repeats` over a base preset: 3 variants x 2
+  // repeats = 6 runs, which the supervisor must see exactly as
+  // cohesion_run does.
+  ExperimentSpec base = sweep_spec();
+  base.repeats = 1;
+  std::ofstream(dir_ + "/base.json") << base.to_json().dump(2) << '\n';
+  const std::string leaf = dir_ + "/leaf.json";
+  std::ofstream(leaf) << R"({"extends": "base.json", "repeats": 2})" << '\n';
+  const std::string fresh = dir_ + "/fresh.json";
+  ASSERT_EQ(run_tool({runner_, leaf, "--no-timing", "--out", fresh}, dir_ + "/fresh.log"),
+            kExitSuccess)
+      << read_file(dir_ + "/fresh.log");
+
+  SupervisorOptions o = base_options();
+  o.spec_path = leaf;
+  o.throttle_ms = 0;
+  const SupervisorResult r = Supervisor(o).run();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.total_runs, 6u);
+  EXPECT_EQ(r.covered_runs, 6u);
+  EXPECT_EQ(r.report.dump(2) + "\n", read_file(fresh));
+}
+
+TEST_F(LaunchE2E, ShardsBeyondTheVariantCountAreClamped) {
+  SupervisorOptions o = base_options();
+  o.throttle_ms = 0;
+  o.shards = 5;  // the sweep has 3 variants
+  const SupervisorResult r = Supervisor(o).run();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.report.dump(2), expected_report());
+  EXPECT_EQ(r.shards.size(), 3u);
+  EXPECT_TRUE(saw_event("clamped from 5"));
+}
+
 // --- worker SIGTERM -> flush -> resume --------------------------------------
 
 TEST_F(LaunchE2E, SigtermFlushesTheJournalAndResumeReproducesTheReport) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <string>
 
+#include "run/exit_codes.hpp"
 #include "run/spec.hpp"
 
 namespace cohesion::run {
@@ -190,6 +191,37 @@ TEST(Preset, ResolvedSpecFingerprintsLikeTheInlinedOne) {
   for (std::size_t i = 0; i < runs_a.size(); ++i) {
     EXPECT_EQ(spec_fingerprint(runs_a[i].spec), spec_fingerprint(runs_b[i].spec)) << "run " << i;
     EXPECT_EQ(run_identity(runs_a[i].spec), run_identity(runs_b[i].spec)) << "run " << i;
+  }
+}
+
+TEST(LoadExperiment, ResolvesExtendsAndWrapsABareRunSpec) {
+  TempDir dir("load");
+  dir.write("base.json", R"({"name": "layered", "base": {"n": 6, "seed": 7},
+                             "sweep": [{"path": "seed", "values": [1, 2, 3]}]})");
+  const std::string leaf = dir.write("leaf.json", R"({"extends": "base.json", "repeats": 2})");
+  const ExperimentSpec layered = load_experiment(leaf);
+  EXPECT_EQ(layered.name, "layered");
+  EXPECT_EQ(layered.variant_count(), 3u);
+  EXPECT_EQ(layered.repeats, 2u);
+
+  // No "base": one run, named after the RunSpec.
+  const std::string bare = dir.write("bare.json", R"({"name": "solo", "n": 5})");
+  const ExperimentSpec single = load_experiment(bare);
+  EXPECT_EQ(single.name, "solo");
+  EXPECT_EQ(single.base.n, 5u);
+  EXPECT_EQ(single.variant_count(), 1u);
+}
+
+TEST(LoadExperiment, UnreadableIsTransientUnparseableIsPermanent) {
+  TempDir dir("load_errors");
+  EXPECT_THROW((void)load_experiment(dir.path() + "/absent.json"), TransientError);
+  const std::string junk = dir.write("junk.json", "not json");
+  try {
+    (void)load_experiment(junk);
+    FAIL() << "expected a parse error";
+  } catch (const TransientError&) {
+    FAIL() << "a parse error is permanent, not transient";
+  } catch (const std::runtime_error&) {
   }
 }
 

@@ -87,7 +87,7 @@ for flag in --listen --worker --submit --status --shutdown --ledger --poll-inter
 done
 
 # The serve on-disk/degraded formats and the container recipe: runbook.
-for phrase in cohesion-serve-ledger/1 cohesion-supervised-partial/1 docker-compose.yml; do
+for phrase in cohesion-serve-ledger/1 cohesion-supervised-partial/1 uncovered_variants docker-compose.yml; do
   grep -q "$phrase" docs/operations.md ||
     complain "docs/operations.md does not cover $phrase"
 done

@@ -1,10 +1,11 @@
-// cohesion_launch — fault-tolerant sweep supervisor: spawn
-// `cohesion_run --shard i/N` workers, watch each shard under a journal
-// heartbeat lease, retry dead shards with exponential backoff + seeded
-// jitter (resuming their checkpoints so finished runs never recompute),
-// and emit either the exact single-process `--no-timing` report (merged,
-// byte-identical) or a coverage-annotated partial report naming every
-// uncovered shard. Runbook: docs/operations.md.
+// cohesion_launch — fault-tolerant sweep supervisor on one host: the
+// cohesion_serve job table driven in-process by local worker slots. Each
+// leased shard runs as `cohesion_run --shard i/N --resume` under a
+// journal-heartbeat lease; dead shards retry with exponential backoff +
+// seeded jitter, resuming their checkpoints. The output is the exact
+// single-process `--no-timing` report, or the supervised-partial document
+// naming every uncovered variant and shard. --shards is clamped to the
+// variant count. Runbook: docs/operations.md.
 //
 //   cohesion_launch sweep.json --shards 3 --out report.json
 //   cohesion_launch sweep.json --shards 8 --threads 2 --max-parallel 4
@@ -14,7 +15,8 @@
 //       --fault stall:shard=0,after=2 --throttle-ms 20     # injection harness
 //
 // Exit codes: 0 complete + no run errors; 1 incomplete coverage, run
-// errors, or a permanent supervisor error; 2 bad usage.
+// errors, or a permanent supervisor error; 2 bad usage; 3 unreadable spec
+// or unwritable --out.
 #include <fstream>
 #include <iostream>
 #include <string>

@@ -214,23 +214,10 @@ int main(int argc, char** argv) {
   if (no_cache) cache_dir.clear();
 
   try {
-    {
-      // Distinguish the unreadable file (transient: not copied yet, NFS
-      // hiccup) from the unparseable one (permanent) before parsing.
-      std::ifstream probe(spec_path);
-      if (!probe) throw run::TransientError("cannot open spec file " + spec_path);
-    }
     // Preset layering ("extends") resolves here — before expansion, and
     // therefore before any fingerprint (checkpoint or cache) is computed.
-    const run::Json doc = run::load_spec_file(spec_path);
     // A bare RunSpec (no "base") runs as a one-run experiment.
-    run::ExperimentSpec experiment;
-    if (doc.contains("base")) {
-      experiment = run::ExperimentSpec::from_json(doc);
-    } else {
-      experiment.base = run::RunSpec::from_json(doc);
-      experiment.name = experiment.base.name;
-    }
+    run::ExperimentSpec experiment = run::load_experiment(spec_path);
 
     if (!trace_dir.empty()) {
       // Force bounded-memory streaming: every run writes its activation

@@ -42,7 +42,6 @@
 
 #include "run/exit_codes.hpp"
 #include "run/preset.hpp"
-#include "run/spec.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/worker.hpp"
@@ -108,32 +107,14 @@ run::Json transact_once(const serve::Address& address, const run::Json& request,
   return std::move(*reply);
 }
 
-/// Load a spec exactly like cohesion_run: resolve "extends" layering, wrap
-/// a bare RunSpec. The resolved ExperimentSpec echo is what crosses the
-/// wire — its JSON round trip is exact, so the daemon-side report is
-/// byte-identical to the single-process one (contract 13).
-run::Json resolve_spec(const std::string& path) {
-  {
-    std::ifstream probe(path);
-    if (!probe) throw run::TransientError("cannot open spec file " + path);
-  }
-  const run::Json doc = run::load_spec_file(path);
-  run::ExperimentSpec experiment;
-  if (doc.contains("base")) {
-    experiment = run::ExperimentSpec::from_json(doc);
-  } else {
-    experiment.base = run::RunSpec::from_json(doc);
-    experiment.name = experiment.base.name;
-  }
-  return experiment.to_json();
-}
-
 int submit(const serve::Address& address, const std::string& spec_path,
            const std::string& name, bool wait, const std::string& out_path) {
   run::Json request = run::Json::object();
   request.set("op", "submit");
   request.set("name", name);
-  request.set("spec", resolve_spec(spec_path));
+  // The resolved echo's JSON round trip is exact: the daemon's report is
+  // byte-identical to the single-process one (contract 13).
+  request.set("spec", run::load_experiment(spec_path).to_json());
   const run::Json reply = transact_once(address, request, 10, 0.25);
   const std::uint64_t job = reply.uint_or("job", 0);
   std::cerr << "cohesion_serve: submitted job " << job << "\n";
