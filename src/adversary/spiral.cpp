@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "algo/lens_midpoint.hpp"
 #include "core/engine.hpp"
@@ -136,10 +138,24 @@ SpiralExperimentResult run_spiral_experiment(double psi, double edge_scale,
   }
 
   result.schedule_nested = core::is_nested_activation(trace);
-  // Nesting depth: activations whose Look falls inside X_A's interval.
+  // Nesting depth: activations of other robots whose Look falls strictly
+  // inside one of X_A's intervals, in the validators' ε-shrunk window.
+  std::vector<std::pair<core::Time, core::Time>> a_windows;
+  for (const auto& rec : trace.records()) {
+    if (rec.activation.robot == 0) {
+      a_windows.emplace_back(rec.start() + core::kScheduleEps, rec.end() - core::kScheduleEps);
+    }
+  }
   std::size_t depth = 0;
   for (const auto& rec : trace.records()) {
-    if (rec.activation.robot != 0) ++depth;
+    if (rec.activation.robot == 0) continue;
+    const core::Time look = rec.start();
+    for (const auto& [lo, hi] : a_windows) {
+      if (look > lo && look < hi) {
+        ++depth;
+        break;
+      }
+    }
   }
   result.nesting_depth = depth;
   return result;

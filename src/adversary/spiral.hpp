@@ -72,7 +72,9 @@ struct SpiralExperimentResult {
   double max_chain_drift = 0.0;      ///< max | |X_j A|_final - |X_j A|_initial |
   std::size_t activations = 0;
   bool schedule_nested = false;      ///< trace certified NestA
-  std::size_t nesting_depth = 0;     ///< activations nested in X_A's interval
+  /// Activations of other robots whose Look lies strictly inside X_A's
+  /// activity interval (the validators' ε-shrunk window).
+  std::size_t nesting_depth = 0;
 };
 
 /// Build the psi-spiral, run the sliver-flattening adversary against the

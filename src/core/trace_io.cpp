@@ -1,5 +1,6 @@
 #include "core/trace_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -52,26 +53,33 @@ Trace read_trace_csv(std::istream& in) {
       }
       return field;
     };
+    // std::stod accepts "nan" and "inf"; no trace time or coordinate may be
+    // either (the validators sort by time).
+    auto number = [&]() -> double {
+      const double v = std::stod(next());
+      if (!std::isfinite(v)) throw std::runtime_error("read_trace_csv: non-finite number: " + line);
+      return v;
+    };
     const std::string tag = next();
     if (tag == "I") {
       const std::size_t r = std::stoul(next());
       if (r != initial.size()) throw std::runtime_error("read_trace_csv: out-of-order robots");
-      const double x = std::stod(next());
-      const double y = std::stod(next());
+      const double x = number();
+      const double y = number();
       initial.push_back({x, y});
     } else if (tag == "A") {
       ActivationRecord rec;
       rec.activation.robot = std::stoul(next());
-      rec.activation.t_look = std::stod(next());
-      rec.activation.t_move_start = std::stod(next());
-      rec.activation.t_move_end = std::stod(next());
-      rec.activation.realized_fraction = std::stod(next());
-      rec.from.x = std::stod(next());
-      rec.from.y = std::stod(next());
-      rec.planned.x = std::stod(next());
-      rec.planned.y = std::stod(next());
-      rec.realized.x = std::stod(next());
-      rec.realized.y = std::stod(next());
+      rec.activation.t_look = number();
+      rec.activation.t_move_start = number();
+      rec.activation.t_move_end = number();
+      rec.activation.realized_fraction = number();
+      rec.from.x = number();
+      rec.from.y = number();
+      rec.planned.x = number();
+      rec.planned.y = number();
+      rec.realized.x = number();
+      rec.realized.y = number();
       rec.seen = std::stoul(next());
       records.push_back(rec);
     } else {

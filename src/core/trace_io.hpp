@@ -17,7 +17,8 @@ void write_trace_csv(const Trace& trace, std::ostream& out);
 void write_trace_csv(const Trace& trace, const std::string& path);
 
 /// Parse a trace written by write_trace_csv. Throws std::runtime_error on
-/// malformed input.
+/// malformed input, including a non-finite ("nan", "inf") time, fraction
+/// or coordinate.
 Trace read_trace_csv(std::istream& in);
 Trace read_trace_csv_file(const std::string& path);
 

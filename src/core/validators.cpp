@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace cohesion::core {
@@ -13,48 +17,62 @@ struct Interval {
   Time start, end;
 };
 
-std::vector<Interval> intervals_of(const Trace& trace) {
+/// The trace's intervals sorted by start. Sorting needs a strict weak
+/// ordering, so a non-finite endpoint is rejected first.
+std::vector<Interval> sorted_intervals(const Trace& trace, const char* caller) {
   std::vector<Interval> out;
   out.reserve(trace.records().size());
   for (const ActivationRecord& rec : trace.records()) {
+    if (!std::isfinite(rec.start()) || !std::isfinite(rec.end())) {
+      throw std::invalid_argument(std::string(caller) + ": record " +
+                                  std::to_string(out.size()) +
+                                  " has a non-finite t_look or t_move_end");
+    }
     out.push_back({rec.activation.robot, rec.start(), rec.end()});
   }
+  std::ranges::sort(out, {}, &Interval::start);
   return out;
 }
 
-constexpr double kEps = 1e-9;
+constexpr double kEps = kScheduleEps;
 
 }  // namespace
 
 std::size_t max_activations_within_interval(const Trace& trace) {
-  const auto ivals = intervals_of(trace);
+  const auto ivals = sorted_intervals(trace, "max_activations_within_interval");
+  std::vector<std::size_t> counts(trace.robot_count(), 0);
   std::size_t worst = 0;
-  const std::size_t n = trace.robot_count();
   for (const Interval& outer : ivals) {
-    std::vector<std::size_t> counts(n, 0);
-    for (const Interval& inner : ivals) {
-      if (inner.robot == outer.robot) continue;
-      if (inner.start > outer.start + kEps && inner.start < outer.end - kEps) {
-        worst = std::max(worst, ++counts[inner.robot]);
-      }
+    // The Looks with outer.start + kEps < start < outer.end - kEps.
+    const auto lo = std::ranges::upper_bound(ivals, outer.start + kEps, {}, &Interval::start);
+    const auto hi = std::ranges::lower_bound(ivals, outer.end - kEps, {}, &Interval::start);
+    if (lo >= hi) continue;  // empty, or end < start
+    for (auto it = lo; it != hi; ++it) {
+      if (it->robot != outer.robot) worst = std::max(worst, ++counts[it->robot]);
     }
+    for (auto it = lo; it != hi; ++it) counts[it->robot] = 0;
   }
   return worst;
 }
 
 bool is_nested_activation(const Trace& trace) {
-  const auto ivals = intervals_of(trace);
-  for (std::size_t i = 0; i < ivals.size(); ++i) {
-    for (std::size_t j = i + 1; j < ivals.size(); ++j) {
-      const Interval& a = ivals[i];
-      const Interval& b = ivals[j];
-      if (a.robot == b.robot) continue;
-      // Disjoint?
-      if (a.end <= b.start + kEps || b.end <= a.start + kEps) continue;
-      // Nested?
-      const bool a_in_b = a.start >= b.start - kEps && a.end <= b.end + kEps;
-      const bool b_in_a = b.start >= a.start - kEps && b.end <= a.end + kEps;
-      if (!a_in_b && !b_in_a) return false;
+  // With a.start <= b.start, a and b (of distinct robots) cross iff
+  //   a.start < b.start - kEps, a.end > b.start + kEps, a.end + kEps < b.end.
+  // Sweep b in start order over the ends of the intervals that pass the
+  // first test; the other two ask for an end in (b.start + kEps, b.end - kEps).
+  const auto ivals = sorted_intervals(trace, "is_nested_activation");
+  std::multiset<std::pair<Time, RobotId>> open_ends;
+  std::size_t admitted = 0;
+  for (const Interval& b : ivals) {
+    for (; admitted < ivals.size() && ivals[admitted].start < b.start - kEps; ++admitted) {
+      open_ends.emplace(ivals[admitted].end, ivals[admitted].robot);
+    }
+    // Ends at or below b.start + kEps fail the second test for every later b.
+    while (!open_ends.empty() && open_ends.begin()->first <= b.start + kEps) {
+      open_ends.erase(open_ends.begin());
+    }
+    for (auto it = open_ends.begin(); it != open_ends.end() && it->first + kEps < b.end; ++it) {
+      if (it->second != b.robot) return false;
     }
   }
   return true;

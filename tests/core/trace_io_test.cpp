@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "algo/kknps.hpp"
 #include "core/engine.hpp"
@@ -71,6 +72,17 @@ TEST(TraceIo, RejectsUnknownRobotRecord) {
 TEST(TraceIo, RejectsUnknownTag) {
   std::stringstream buf("cohesion-trace-v1\nZ,0,0,0\n");
   EXPECT_THROW(read_trace_csv(buf), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsNonFiniteNumbers) {
+  // std::stod parses these; a NaN time would break the validators' sort.
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    std::stringstream times("cohesion-trace-v1\nI,0,0,0\nA,0," + std::string(bad) +
+                            ",0,1,1,0,0,0,0,0,0,0\n");
+    EXPECT_THROW(read_trace_csv(times), std::runtime_error) << bad;
+    std::stringstream coords("cohesion-trace-v1\nI,0,0," + std::string(bad) + "\n");
+    EXPECT_THROW(read_trace_csv(coords), std::runtime_error) << bad;
+  }
 }
 
 TEST(TraceIo, FileRoundTrip) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace cohesion::core {
 namespace {
 
@@ -95,6 +98,16 @@ TEST(Validators, ThreeRobotChainedOverlaps) {
   t.record(rec(2, 2.5, 4.5));
   EXPECT_FALSE(is_nested_activation(t));
   EXPECT_TRUE(is_k_async(t, 1));
+}
+
+TEST(Validators, NonFiniteEndpointThrows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const ActivationRecord& bad : {rec(1, nan, 3.0), rec(1, 2.0, inf), rec(1, -inf, 3.0)}) {
+    const Trace t = two_robot_trace({rec(0, 0.0, 1.0), bad});
+    EXPECT_THROW(max_activations_within_interval(t), std::invalid_argument);
+    EXPECT_THROW(is_nested_activation(t), std::invalid_argument);
+  }
 }
 
 }  // namespace
