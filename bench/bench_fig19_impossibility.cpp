@@ -45,9 +45,9 @@ int main() {
     const std::size_t steps = engine.run(cfg.positions.size() * 200);
     double worst = 0.0;
     const auto& trace = engine.trace();
+    const core::VisiblePairs initial_pairs(cfg.positions, 1.0);
     for (double t = 0.0; t <= trace.end_time() + 1.0; t += 1.0) {
-      worst = std::max(worst, core::worst_initial_pair_stretch(
-                                  cfg.positions, trace.configuration(t), 1.0));
+      worst = std::max(worst, initial_pairs.worst_stretch(trace.configuration(t)));
     }
     const bool connected =
         core::VisibilityGraph(engine.current_configuration(), 1.0).connected();

@@ -42,9 +42,9 @@ Outcome attack(const core::Algorithm& algo, std::size_t k, std::uint64_t seed) {
 
   Outcome out;
   const auto& trace = engine.trace();
+  const core::VisiblePairs initial_pairs(initial, 1.0);
   for (double t = 0.0; t <= trace.end_time() + 1.0; t += 0.5) {
-    out.worst = std::max(out.worst, core::worst_initial_pair_stretch(
-                                        initial, trace.configuration(t), 1.0));
+    out.worst = std::max(out.worst, initial_pairs.worst_stretch(trace.configuration(t)));
   }
   out.certified = core::is_k_async(trace, k);
   return out;

@@ -46,9 +46,9 @@ int main() {
       const bool conv = engine.run_until_converged(0.05, 60000);
       converged_all = converged_all && conv;
       const auto& trace = engine.trace();
+      const core::VisiblePairs initial_pairs(initial, 1.0);
       for (double t = 0.0; t <= trace.end_time() + 1.0; t += 0.5) {
-        worst = std::max(worst, core::worst_initial_pair_stretch(initial, trace.configuration(t),
-                                                                 1.0));
+        worst = std::max(worst, initial_pairs.worst_stretch(trace.configuration(t)));
       }
       const auto rep = metrics::analyze(trace, 1.0, 0.05);
       cohesive = cohesive && rep.cohesive;

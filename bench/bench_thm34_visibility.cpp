@@ -55,9 +55,10 @@ int main() {
         bool acquired_lost = false;
         std::vector<std::vector<bool>> acquired(n, std::vector<bool>(n, false));
         const double end = trace.end_time() + 1.0;
+        const core::VisiblePairs initial_pairs(initial, 1.0);
         for (double t = 0.0; t <= end; t += 0.5) {
           const auto c = trace.configuration(t);
-          worst = std::max(worst, core::worst_initial_pair_stretch(initial, c, 1.0));
+          worst = std::max(worst, initial_pairs.worst_stretch(c));
           for (std::size_t i = 0; i < n; ++i) {
             for (std::size_t j = i + 1; j < n; ++j) {
               const double d = c[i].distance_to(c[j]);

@@ -1,6 +1,9 @@
 #include "core/visibility.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/spatial_index.hpp"
 
@@ -84,33 +87,51 @@ std::size_t VisibilityGraph::edges_lost(const VisibilityGraph& later) const {
   return lost;
 }
 
-double worst_initial_pair_stretch(const std::vector<geom::Vec2>& initial,
-                                  const std::vector<geom::Vec2>& positions, double v) {
-  double worst = 0.0;
-  if (initial.size() < kGridThreshold || !(v > 0.0)) {
-    for (std::size_t a = 0; a < initial.size(); ++a) {
-      for (std::size_t b = a + 1; b < initial.size(); ++b) {
-        if (initial[a].distance_to(initial[b]) <= v + kVisibilityEpsilon) {
-          worst = std::max(worst, positions[a].distance_to(positions[b]) / v);
-        }
-      }
-    }
-    return worst;
+VisiblePairs::VisiblePairs(const std::vector<geom::Vec2>& positions, double v) : v_(v) {
+  const std::size_t n = positions.size();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("VisiblePairs: robot count " + std::to_string(n) +
+                                " exceeds UINT32_MAX (partner ids are 32-bit)");
   }
-  // The initially-visible pairs are a fixed-radius neighbor query over the
-  // *initial* configuration; enumerate them through a grid and evaluate the
-  // stretch at `positions`. Same pair set as the pairwise loop, and max() is
-  // order-independent, so the result is identical.
+  offsets_.assign(n + 1, 0);
+  // Two passes over the same grid queries — count, then fill — so the id
+  // array is allocated once at its exact size. neighbors_within applies the
+  // closed-ball predicate itself (its cell-size fallback keeps it exact for
+  // any V), and returns ascending ids, so each robot's partners are sorted.
   SpatialGrid grid(v);
-  grid.rebuild(initial);
+  grid.rebuild(positions);
   std::vector<std::size_t> nbrs;
-  for (std::size_t a = 0; a < initial.size(); ++a) {
-    grid.neighbors_within(initial[a], v, /*open_ball=*/false, nbrs);
-    for (const std::size_t b : nbrs) {
-      if (b > a) worst = std::max(worst, positions[a].distance_to(positions[b]) / v);
+  for (std::size_t a = 0; a < n; ++a) {
+    grid.neighbors_within(positions[a], v, /*open_ball=*/false, nbrs);
+    const auto later = std::ranges::upper_bound(nbrs, a);
+    offsets_[a + 1] = offsets_[a] + static_cast<std::size_t>(nbrs.end() - later);
+  }
+  partners_.resize(offsets_[n]);
+  for (std::size_t a = 0; a < n; ++a) {
+    grid.neighbors_within(positions[a], v, /*open_ball=*/false, nbrs);
+    std::uint32_t* out = partners_.data() + offsets_[a];
+    for (auto it = std::ranges::upper_bound(nbrs, a); it != nbrs.end(); ++it) {
+      *out++ = static_cast<std::uint32_t>(*it);
+    }
+  }
+}
+
+double VisiblePairs::worst_stretch(const std::vector<geom::Vec2>& positions) const {
+  // Same a < b orientation and arithmetic as the pairwise loop; max() is
+  // order-independent, so the result is bit-identical to it.
+  double worst = 0.0;
+  for (std::size_t a = 0; a < robot_count(); ++a) {
+    const geom::Vec2 pa = positions[a];
+    for (std::size_t i = offsets_[a]; i < offsets_[a + 1]; ++i) {
+      worst = std::max(worst, pa.distance_to(positions[partners_[i]]) / v_);
     }
   }
   return worst;
+}
+
+double worst_initial_pair_stretch(const std::vector<geom::Vec2>& initial,
+                                  const std::vector<geom::Vec2>& positions, double v) {
+  return VisiblePairs(initial, v).worst_stretch(positions);
 }
 
 }  // namespace cohesion::core

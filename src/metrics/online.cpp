@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/visibility.hpp"
 #include "geometry/convex_hull.hpp"
 
 namespace cohesion::metrics {
@@ -21,23 +20,23 @@ constexpr double kLookSlack = 1e-12;
 
 }  // namespace
 
-ConvergenceAccumulator::ConvergenceAccumulator(std::vector<Vec2> initial, double v, double epsilon,
-                                               bool track_min_pairwise)
-    : initial_(std::move(initial)),
-      v_(v),
+ConvergenceAccumulator::ConvergenceAccumulator(const std::vector<Vec2>& initial, double v,
+                                               double epsilon, bool track_min_pairwise)
+    : n_(initial.size()),
+      initial_pairs_(initial, v),
       epsilon_(epsilon),
-      cur_(initial_.size()),
-      prev_(initial_.size()),
-      done_(initial_.size(), false),
-      remaining_(initial_.size()),
-      per_robot_activations_(initial_.size(), 0),
+      cur_(n_),
+      prev_(n_),
+      done_(n_, false),
+      remaining_(n_),
+      per_robot_activations_(n_, 0),
       track_min_pairwise_(track_min_pairwise) {
-  for (std::size_t r = 0; r < initial_.size(); ++r) {
-    cur_[r].from = initial_[r];
-    cur_[r].realized = initial_[r];
+  for (std::size_t r = 0; r < n_; ++r) {
+    cur_[r].from = initial[r];
+    cur_[r].realized = initial[r];
   }
   prev_ = cur_;
-  initial_diameter_ = geom::set_diameter(initial_);
+  initial_diameter_ = geom::set_diameter(initial);
   // The batch path samples every round boundary, and round_boundaries()
   // always starts with t = 0 — open it here so a zero-duration move at
   // time 0 (which teleports a robot at the sampled instant) lands in it.
@@ -68,17 +67,17 @@ Vec2 ConvergenceAccumulator::position_at(RobotId robot, Time t) const {
 void ConvergenceAccumulator::open_sample(Time t) {
   PendingSample s;
   s.t = t;
-  s.positions.resize(initial_.size());
-  for (RobotId r = 0; r < initial_.size(); ++r) s.positions[r] = position_at(r, t);
+  s.positions.resize(n_);
+  for (RobotId r = 0; r < n_; ++r) s.positions[r] = position_at(r, t);
   pending_.push_back(std::move(s));
 }
 
-void ConvergenceAccumulator::fold_sample(const std::vector<Vec2>& cfg) {
+double ConvergenceAccumulator::fold_sample(const std::vector<Vec2>& cfg) {
   const double diam = geom::set_diameter(cfg);
   if (rounds_to_halve_ == 0 && sample_index_ > 0 && diam <= initial_diameter_ / 2.0) {
     rounds_to_halve_ = sample_index_;
   }
-  const double stretch = core::worst_initial_pair_stretch(initial_, cfg, v_);
+  const double stretch = initial_pairs_.worst_stretch(cfg);
   worst_stretch_ = std::max(worst_stretch_, stretch);
   if (stretch > 1.0 + 1e-9) cohesive_ = false;
   if (!first_converged_sample_ && diam <= epsilon_) first_converged_sample_ = sample_index_;
@@ -88,6 +87,7 @@ void ConvergenceAccumulator::fold_sample(const std::vector<Vec2>& cfg) {
     any_sample_folded_ = true;
   }
   ++sample_index_;
+  return diam;
 }
 
 void ConvergenceAccumulator::finalize_front() {
@@ -98,7 +98,8 @@ void ConvergenceAccumulator::finalize_front() {
 void ConvergenceAccumulator::add(const core::ActivationRecord& rec) {
   const core::Activation& a = rec.activation;
   const RobotId r = a.robot;
-  if (r >= initial_.size()) throw std::logic_error("ConvergenceAccumulator: bad robot id");
+  if (finished_) throw std::logic_error("ConvergenceAccumulator::add called after finish");
+  if (r >= n_) throw std::logic_error("ConvergenceAccumulator: bad robot id");
 
   // A Look beyond a pending sample's slack window proves no future record
   // can move anything at that sample — fold it into the report.
@@ -127,7 +128,7 @@ void ConvergenceAccumulator::add(const core::ActivationRecord& rec) {
         ++rounds_;
         open_sample(last_bound_);
         std::fill(done_.begin(), done_.end(), false);
-        remaining_ = initial_.size();
+        remaining_ = n_;
         round_end_ = last_bound_;
       }
     }
@@ -145,9 +146,9 @@ ConvergenceReport ConvergenceAccumulator::finish() {
 
   // The batch path appends one sample past the end of all committed motion.
   const Time t_end = end_time_ + 1.0;
-  std::vector<Vec2> cfg(initial_.size());
-  for (RobotId r = 0; r < initial_.size(); ++r) cfg[r] = eval(cur_[r], t_end);
-  fold_sample(cfg);
+  std::vector<Vec2> cfg(n_);
+  for (RobotId r = 0; r < n_; ++r) cfg[r] = eval(cur_[r], t_end);
+  const double end_diameter = fold_sample(cfg);
 
   ConvergenceReport rep;
   rep.activations = activations_;
@@ -156,8 +157,15 @@ ConvergenceReport ConvergenceAccumulator::finish() {
   rep.rounds_to_halve = rounds_to_halve_;
   rep.worst_stretch = worst_stretch_;
   rep.cohesive = cohesive_;
-  rep.final_diameter = geom::set_diameter(cfg);
+  rep.final_diameter = end_diameter;
   rep.converged = rep.final_diameter <= epsilon_;
+
+  // Free the O(n + E) fold state: a live sink's accumulator can outlive its
+  // run, e.g. alongside a replay accumulator.
+  cur_ = {};
+  prev_ = {};
+  done_ = {};
+  initial_pairs_ = {};
   return rep;
 }
 

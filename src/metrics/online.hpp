@@ -21,7 +21,13 @@
 // accumulator rejects that loudly rather than silently diverging from the
 // reference. Every per-sample position runs the identical interpolation
 // arithmetic as Trace::position, so the resulting report is bit-identical
-// to metrics::analyze_rescan on the materialized trace.
+// to a rescan of the materialized trace (the test oracle in
+// tests/metrics/analyze_oracle.hpp).
+//
+// The cohesion stretch is measured over the pairs visible in the initial
+// configuration — a set fixed at t = 0 — so the accumulator builds that
+// pair list (core::VisiblePairs) once and scans it in O(E) per sample; it
+// keeps no copy of the initial configuration itself.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +37,7 @@
 
 #include "core/activation.hpp"
 #include "core/types.hpp"
+#include "core/visibility.hpp"
 #include "geometry/vec2.hpp"
 #include "metrics/stats.hpp"
 
@@ -44,7 +51,9 @@ class ConvergenceAccumulator {
   /// pairwise distance at every sample window (the collision indicator of
   /// configuration_stats); off by default so analyze() costs what the
   /// rescan path cost.
-  ConvergenceAccumulator(std::vector<geom::Vec2> initial, double v, double epsilon,
+  /// Throws std::invalid_argument for more than UINT32_MAX robots (the
+  /// pair list's id width).
+  ConvergenceAccumulator(const std::vector<geom::Vec2>& initial, double v, double epsilon,
                          bool track_min_pairwise = false);
 
   /// Fold one committed activation. Records must arrive in the engine's
@@ -52,10 +61,11 @@ class ConvergenceAccumulator {
   void add(const core::ActivationRecord& rec);
 
   /// Finalize remaining samples plus the end-of-run sample and return the
-  /// report. Call once, after the last add().
+  /// report. Call once, after the last add(); it frees the per-robot fold
+  /// state, so a later add() throws. The accessors below stay valid.
   [[nodiscard]] ConvergenceReport finish();
 
-  [[nodiscard]] std::size_t robot_count() const { return initial_.size(); }
+  [[nodiscard]] std::size_t robot_count() const { return n_; }
   [[nodiscard]] std::size_t activations() const { return activations_; }
   [[nodiscard]] core::Time end_time() const { return end_time_; }
   /// Completed activations per robot, maintained as records fold in.
@@ -89,10 +99,11 @@ class ConvergenceAccumulator {
   [[nodiscard]] geom::Vec2 position_at(core::RobotId robot, core::Time t) const;
   void open_sample(core::Time t);
   void finalize_front();
-  void fold_sample(const std::vector<geom::Vec2>& cfg);
+  /// Fold one sample into the report; returns its diameter.
+  double fold_sample(const std::vector<geom::Vec2>& cfg);
 
-  std::vector<geom::Vec2> initial_;
-  double v_;
+  std::size_t n_;
+  core::VisiblePairs initial_pairs_;  // E(0), the pairs cohesion must keep
   double epsilon_;
 
   // Last two trajectory segments per robot (current + previous), the

@@ -51,10 +51,4 @@ struct ConvergenceReport {
 /// ConvergenceAccumulator) — no whole-trace position rescans.
 ConvergenceReport analyze(const core::Trace& trace, double v, double epsilon);
 
-/// The original rescan implementation — computes round boundaries from the
-/// full trace, then reconstructs the configuration at every sample via
-/// per-robot binary searches. Bit-identical to analyze(); kept as the
-/// oracle the single-pass and streaming paths are tested against.
-ConvergenceReport analyze_rescan(const core::Trace& trace, double v, double epsilon);
-
 }  // namespace cohesion::metrics

@@ -17,9 +17,9 @@ namespace cohesion::trace {
 
 class OnlineMetrics final : public core::TraceSink {
  public:
-  OnlineMetrics(std::vector<geom::Vec2> initial, double v, double epsilon,
+  OnlineMetrics(const std::vector<geom::Vec2>& initial, double v, double epsilon,
                 bool track_min_pairwise = false)
-      : acc_(std::move(initial), v, epsilon, track_min_pairwise) {}
+      : acc_(initial, v, epsilon, track_min_pairwise) {}
 
   void append(const core::ActivationRecord& rec) override { acc_.add(rec); }
   void finish() override {

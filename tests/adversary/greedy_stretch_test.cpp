@@ -26,9 +26,9 @@ double worst_stretch_under_attack(const core::Algorithm& algo,
   engine.run(steps);
   double worst = 0.0;
   const auto& trace = engine.trace();
+  const core::VisiblePairs initial_pairs(initial, 1.0);
   for (double t = 0.0; t <= trace.end_time() + 1.0; t += 0.5) {
-    worst = std::max(worst,
-                     core::worst_initial_pair_stretch(initial, trace.configuration(t), 1.0));
+    worst = std::max(worst, initial_pairs.worst_stretch(trace.configuration(t)));
   }
   if (out_trace) *out_trace = trace;
   return worst;

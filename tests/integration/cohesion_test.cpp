@@ -41,10 +41,10 @@ VisibilityAudit audit(const Trace& trace, double v, double dt) {
   const std::size_t n = initial.size();
   const double end = trace.end_time() + 1.0;
   std::vector<std::vector<bool>> acquired(n, std::vector<bool>(n, false));
+  const core::VisiblePairs initial_pairs(initial, v);
   for (double t = 0.0; t <= end; t += dt) {
     const auto cfg = trace.configuration(t);
-    a.worst_initial_stretch =
-        std::max(a.worst_initial_stretch, core::worst_initial_pair_stretch(initial, cfg, v));
+    a.worst_initial_stretch = std::max(a.worst_initial_stretch, initial_pairs.worst_stretch(cfg));
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
         const double d = cfg[i].distance_to(cfg[j]);

@@ -26,6 +26,8 @@
 #include "trace/stream_reader.hpp"
 #include "trace/stream_writer.hpp"
 
+#include "../metrics/analyze_oracle.hpp"
+
 namespace cohesion::trace {
 namespace {
 
@@ -123,7 +125,7 @@ TEST(OnlineMetrics, TwoHundredSeedStreamRoundTripIsByteIdentical) {
     const core::Trace& trace = engine.trace();
 
     const metrics::ConvergenceReport reference = metrics::analyze(trace, v, epsilon);
-    const metrics::ConvergenceReport oracle = metrics::analyze_rescan(trace, v, epsilon);
+    const metrics::ConvergenceReport oracle = metrics::oracle::analyze_rescan(trace, v, epsilon);
     expect_identical_reports(reference, oracle, seed, "analyze vs rescan");
 
     StreamHeader header;
@@ -293,9 +295,36 @@ TEST(OnlineMetrics, BackwardLookWithinSlackMatchesOracle) {
   ASSERT_EQ(bounded.run(script.size()), script.size());
 
   const metrics::ConvergenceReport reference = metrics::analyze(memory.trace(), 1.0, 0.05);
-  expect_identical_reports(reference, metrics::analyze_rescan(memory.trace(), 1.0, 0.05), 0,
+  expect_identical_reports(reference, metrics::oracle::analyze_rescan(memory.trace(), 1.0, 0.05), 0,
                            "scripted rescan");
   expect_identical_reports(online.report(), reference, 0, "scripted live");
+}
+
+TEST(OnlineMetrics, AccumulatorMatchesOracleAcrossOldGridThreshold) {
+  // The initial pair list is built through the grid at every n; the old
+  // stretch code switched from a pairwise loop to the grid at n = 64. Both
+  // sides of that boundary, under every scheduler family, must still match
+  // the rescan oracle (whose stretch comes from VisibilityGraph's edges).
+  for (const std::size_t n : {63u, 64u, 65u}) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const double v = 1.0;
+      const double epsilon = 0.05;
+      auto initial = make_initial(seed, n, v);
+      auto algorithm = make_algorithm(seed);
+      auto scheduler = make_scheduler(seed, n);
+      core::EngineConfig config;
+      config.seed = seed;
+      core::Engine engine(initial, *algorithm, *scheduler, config);
+      engine.run(6 * n);
+      const core::Trace& trace = engine.trace();
+
+      metrics::ConvergenceAccumulator acc(trace.initial_configuration(), v, epsilon);
+      for (const core::ActivationRecord& rec : trace.records()) acc.add(rec);
+      EXPECT_EQ(acc.robot_count(), n);
+      expect_identical_reports(acc.finish(), metrics::oracle::analyze_rescan(trace, v, epsilon),
+                               n * 100 + seed, "accumulator vs rescan");
+    }
+  }
 }
 
 TEST(OnlineMetrics, FinishTwiceThrows) {
@@ -307,6 +336,16 @@ TEST(OnlineMetrics, FinishTwiceThrows) {
   online.finish();
   online.finish();
   EXPECT_EQ(online.report().activations, 0u);
+}
+
+TEST(OnlineMetrics, AddAfterFinishThrows) {
+  // finish() frees the fold state; a late record must fail loudly.
+  metrics::ConvergenceAccumulator acc({{0.0, 0.0}, {0.5, 0.0}}, 1.0, 0.05);
+  (void)acc.finish();
+  core::ActivationRecord rec;
+  EXPECT_THROW(acc.add(rec), std::logic_error);
+  EXPECT_EQ(acc.robot_count(), 2u);
+  EXPECT_EQ(acc.per_robot_activations().size(), 2u);
 }
 
 }  // namespace
