@@ -21,13 +21,8 @@
 // cell is a RunSpec (the "safe" column couples algo k to k_sched, which
 // makes the grid irregular — so the cells are expanded explicitly and
 // handed to run::BatchRunner as a run list), and the margin metric is a
-// trace-metric hook. A second section times scheduler proposals alone:
-// KAsyncScheduler's open-interval index (own-look rings + start-sorted
-// interval list with prefix-max ends; O(log n) per proposal) vs. the
-// legacy flat scan, whose dense per-interval count vectors cost O(n)
-// zeroing per proposal and O(n^2) live memory at n = 4096. The residual
-// cost common to both paths is the O(n) RNG-draw selection loop, which is
-// part of the scheduler's seeded-stream contract.
+// trace-metric hook. A second section times engine-level KAsync
+// throughput with the incremental spatial index vs a grid rebuild per Look.
 #include <chrono>
 #include <iostream>
 #include <thread>
@@ -99,42 +94,13 @@ run::RunSpec cell_spec(std::size_t k_sched, const std::string& algo_type, std::s
   return spec;
 }
 
-/// Scheduler-only proposal throughput (no engine): the view is inert, the
-/// frontier advances with each proposal exactly as the engine would move it.
-double proposals_per_second(std::size_t n, bool indexed, std::size_t proposals) {
-  struct InertView final : core::SimulationView {
-    std::size_t n_robots = 0;
-    core::Time front = 0.0;
-    [[nodiscard]] std::size_t robot_count() const override { return n_robots; }
-    [[nodiscard]] core::Time busy_until(core::RobotId) const override { return 0.0; }
-    [[nodiscard]] core::Time frontier() const override { return front; }
-    [[nodiscard]] Vec2 position(core::RobotId, core::Time) const override { return {}; }
-    [[nodiscard]] std::size_t activations_of(core::RobotId) const override { return 0; }
-  };
-  sched::KAsyncScheduler::Params p;
-  p.k = 2;
-  p.seed = 99;
-  p.indexed_intervals = indexed;
-  sched::KAsyncScheduler scheduler(n, p);
-  InertView view;
-  view.n_robots = n;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < proposals; ++i) {
-    const auto a = scheduler.next(view);
-    view.front = a->t_look;
-  }
-  const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return static_cast<double>(proposals) / secs;
-}
-
 /// Engine-level KAsync activation throughput with the spatial index in
 /// incremental vs rebuild-per-Look-time mode (the PR 3 tentpole axis; the
 /// JSON-tracked counterpart lives in bench_spatial_scaling).
-double engine_activations_per_second(std::size_t n, bool incremental, bool heap_selection,
-                                     std::size_t activations) {
+double engine_activations_per_second(std::size_t n, bool incremental, std::size_t activations) {
   const algo::KknpsAlgorithm algo({.k = 1});
   const auto initial = metrics::grid_configuration(n, 0.75);
-  sched::KAsyncScheduler sched(n, {.seed = 11, .heap_selection = heap_selection});
+  sched::KAsyncScheduler sched(n, {.seed = 11});
   core::EngineConfig cfg;
   cfg.visibility.radius = 1.0;
   cfg.snapshot_path =
@@ -211,34 +177,17 @@ int main() {
             << "growth (cf. the paper's remark (iii) in §3.1 that his algorithm fails\n"
             << "for sufficiently large k).\n";
 
-  std::cout << "\nScheduler-proposal throughput: indexed interval bookkeeping (binary\n"
-            << "search + prefix-max over the start-sorted open-interval list) vs the\n"
-            << "legacy flat scan (k = 2; the legacy path allocates + zeroes an n-entry\n"
-            << "count vector per proposal and walks every open interval):\n\n";
-  metrics::Table sched_table({"n", "proposals", "indexed/s", "legacy/s", "speedup"});
-  for (const std::size_t n : {1024u, 4096u}) {
-    const std::size_t proposals = 20000;
-    const double indexed = proposals_per_second(n, true, proposals);
-    const double legacy = proposals_per_second(n, false, proposals);
-    sched_table.add_row(n, proposals, indexed, legacy, indexed / legacy);
-  }
-  sched_table.print();
-
   std::cout << "\nEngine-level KAsync throughput: incremental cell maintenance (re-bucket\n"
             << "only the just-moved robot's segment) vs full grid rebuild at every\n"
             << "distinct Look time. Async Looks all have distinct times, so the rebuild\n"
             << "path pays O(n) per activation; the incremental path pays O(1) amortized\n"
-            << "plus the candidate scan. The residual O(n) term is then the scheduler's\n"
-            << "own tie-jitter selection loop; the fast column removes it too via the\n"
-            << "opt-in heap selection (a different but equally valid seeded stream):\n\n";
-  metrics::Table engine_table(
-      {"n", "activations", "incremental/s", "rebuild/s", "speedup", "fast/s (heap sel)"});
+            << "plus the candidate scan, and the scheduler O(log n) per proposal:\n\n";
+  metrics::Table engine_table({"n", "activations", "incremental/s", "rebuild/s", "speedup"});
   for (const std::size_t n : {1024u, 4096u}) {
     const std::size_t activations = n * 8;
-    const double incremental = engine_activations_per_second(n, true, false, activations);
-    const double rebuild = engine_activations_per_second(n, false, false, activations);
-    const double fast = engine_activations_per_second(n, true, true, activations);
-    engine_table.add_row(n, activations, incremental, rebuild, incremental / rebuild, fast);
+    const double incremental = engine_activations_per_second(n, true, activations);
+    const double rebuild = engine_activations_per_second(n, false, activations);
+    engine_table.add_row(n, activations, incremental, rebuild, incremental / rebuild);
   }
   engine_table.print();
   return 0;

@@ -14,13 +14,9 @@
 //                regardless of how Look times are distributed
 //
 // The interesting axis is therefore incremental-vs-rebuild under KAsync,
-// where every Look has a distinct time: acceptance for PR 3 is >= 1.3x at
-// n = 4096 (BM_KAsyncFast vs the PR 2 BM_KAsyncGrid number). Once the
-// rebuild is gone the scheduler's own O(n) tie-jitter selection loop is
-// the next O(n)-per-activation term, so the KAsync series carries a fourth
-// variant, BM_KAsyncFast = incremental index + the scheduler's opt-in
-// heap selection. The brute-force series stops at 1024 — beyond that a
-// single reference run dominates the whole bench.
+// where every Look has a distinct time and the scheduler's proposal is
+// O(log n) (ready-time heap + interval index). The brute-force series stops
+// at 1024 — beyond that a single reference run dominates the whole bench.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -63,7 +59,7 @@ void run_fsync(benchmark::State& state, Mode mode) {
                           static_cast<int64_t>(activations));
 }
 
-void run_kasync(benchmark::State& state, Mode mode, bool heap_selection = false) {
+void run_kasync(benchmark::State& state, Mode mode) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const algo::KknpsAlgorithm algo({.k = 1});
   const auto initial =
@@ -71,7 +67,7 @@ void run_kasync(benchmark::State& state, Mode mode, bool heap_selection = false)
   const std::size_t activations = n * kActivationsPerRobot;
   for (auto _ : state) {
     state.PauseTiming();
-    sched::KAsyncScheduler sched(n, {.seed = 11, .heap_selection = heap_selection});
+    sched::KAsyncScheduler sched(n, {.seed = 11});
     core::Engine engine(initial, algo, sched, config_for(mode));
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.run(activations));
@@ -89,13 +85,6 @@ void BM_FSyncBrute(benchmark::State& state) { run_fsync(state, Mode::kScan); }
 void BM_KAsyncGrid(benchmark::State& state) { run_kasync(state, Mode::kRebuild); }
 void BM_KAsyncIncremental(benchmark::State& state) { run_kasync(state, Mode::kIncremental); }
 void BM_KAsyncBrute(benchmark::State& state) { run_kasync(state, Mode::kScan); }
-// The full PR 3 fast path: incremental index + the scheduler's opt-in
-// O(log n) heap selection (Params::heap_selection; a different but equally
-// valid seeded stream). With both O(n)-per-activation costs gone this is
-// the KAsync configuration a production deployment would run.
-void BM_KAsyncFast(benchmark::State& state) {
-  run_kasync(state, Mode::kIncremental, /*heap_selection=*/true);
-}
 BENCHMARK(BM_FSyncGrid)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FSyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
@@ -105,8 +94,6 @@ BENCHMARK(BM_FSyncBrute)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
 BENCHMARK(BM_KAsyncGrid)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KAsyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_KAsyncFast)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KAsyncBrute)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);

@@ -74,6 +74,7 @@ void write_all(int fd, const std::string& path, std::string_view data) {
 
 std::string runs_fingerprint(const std::vector<ExpandedRun>& runs, const EarlyStop& early_stop) {
   std::uint64_t h = 0xCBF29CE484222325ull;
+  fnv1a(h, "dynamics=" + std::to_string(kDynamicsVersion) + ";");
   for (const ExpandedRun& run : runs) {
     fnv1a(h, std::to_string(run.index));
     fnv1a(h, ":");

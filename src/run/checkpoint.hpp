@@ -9,12 +9,13 @@
 //            order, which is racy across worker threads — each line carries
 //            its global grid index, so the order never matters.
 //
-// The fingerprint is a 64-bit FNV-1a hash over every expanded run's
-// (index, resolved RunSpec) plus the early-stop rule, so a checkpoint is
-// bound to the exact grid — including derived seeds and any --shard
-// selection — that produced it. Resuming against a different spec, shard
-// or early-stop rule fails with an error that says so, instead of silently
-// mixing incompatible outcomes.
+// The fingerprint is a 64-bit FNV-1a hash over the dynamics version
+// (run::kDynamicsVersion), every expanded run's (index, resolved RunSpec)
+// and the early-stop rule, so a checkpoint is bound to the exact grid —
+// including derived seeds and any --shard selection — and to the code's
+// seeded dynamics that produced it. Resuming against a different spec,
+// shard, early-stop rule or dynamics version fails with an error that says
+// so, instead of silently mixing incompatible outcomes.
 //
 // Crash tolerance: every append is a single write(2) of a complete line
 // (O_APPEND), fsync'd every `fsync_every` outcomes. A crash can therefore

@@ -30,8 +30,6 @@ std::unique_ptr<core::Scheduler> make_kasync(std::size_t n, std::uint64_t seed, 
   p.min_gap = params.number_or("min_gap", p.min_gap);
   p.max_gap = params.number_or("max_gap", p.max_gap);
   p.xi = params.number_or("xi", p.xi);
-  p.indexed_intervals = params.bool_or("indexed_intervals", p.indexed_intervals);
-  p.heap_selection = params.bool_or("heap_selection", p.heap_selection);
   p.seed = params.uint_or("seed", seed);
   return std::make_unique<sched::KAsyncScheduler>(n, p);
 }

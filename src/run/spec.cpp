@@ -132,9 +132,10 @@ RunSpec RunSpec::from_json(const Json& j) {
 
 namespace {
 
-std::uint64_t fnv1a64(const std::string& doc) {
+/// FNV-1a 64 of the dynamics version tag followed by the spec document.
+std::uint64_t versioned_hash(const std::string& doc) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64
-  for (const char c : doc) {
+  for (const char c : "dynamics=" + std::to_string(kDynamicsVersion) + ";" + doc) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
@@ -146,14 +147,14 @@ std::uint64_t fnv1a64(const std::string& doc) {
 std::uint64_t spec_fingerprint(const RunSpec& spec) {
   RunSpec hashed = spec;
   hashed.trace = TraceSpec{};  // capture config is not part of the run identity
-  return fnv1a64(hashed.to_json().dump());
+  return versioned_hash(hashed.to_json().dump());
 }
 
 std::uint64_t run_identity(const RunSpec& spec) {
   RunSpec hashed = spec;
   hashed.trace = TraceSpec{};  // capture config never changes the dynamics
   hashed.name = RunSpec{}.name;  // labels/repeat suffixes are display identity
-  return fnv1a64(hashed.to_json().dump());
+  return versioned_hash(hashed.to_json().dump());
 }
 
 std::string fingerprint_hex(std::uint64_t fp) {

@@ -107,11 +107,20 @@ struct RunSpec {
   static RunSpec from_json(const Json& j);
 };
 
-/// FNV-1a 64 of the resolved spec JSON — the run identity stamped into
-/// stream headers, reports and checkpoints. The trace block is excluded
-/// before hashing: capture configuration never changes the dynamics, so a
-/// stream recorded in any mode of the same physical run carries the same
-/// fingerprint as the in-memory reference.
+/// Version of the seeded dynamics behind a resolved spec. Bump it when the
+/// same spec bytes start producing a different run (a scheduler's selection
+/// or RNG draw order changes, say): spec_fingerprint, run_identity and the
+/// checkpoint fingerprint all hash it, so no cache entry, journal or stream
+/// header written under the old dynamics matches the new code
+/// (docs/architecture.md, contract 2). History: 1 — KAsyncScheduler always
+/// selects the most-starved robot from its ready-time heap.
+inline constexpr std::uint64_t kDynamicsVersion = 1;
+
+/// FNV-1a 64 of kDynamicsVersion and the resolved spec JSON — the run
+/// identity stamped into stream headers and reports. The trace block is
+/// excluded before hashing: capture configuration never changes the
+/// dynamics, so a stream recorded in any mode of the same physical run
+/// carries the same fingerprint as the in-memory reference.
 [[nodiscard]] std::uint64_t spec_fingerprint(const RunSpec& spec);
 /// 16-hex-digit rendering of a fingerprint (zero-padded, lowercase).
 [[nodiscard]] std::string fingerprint_hex(std::uint64_t fp);
@@ -129,6 +138,7 @@ struct RunSpec {
 /// Caveats (same as the checkpoint fingerprint): the programmatic
 /// stop.predicate and the trace_metric hook are opaque C++ and cannot be
 /// covered — identity is exact for anything expressible in spec JSON.
+/// kDynamicsVersion is hashed ahead of the spec, as in spec_fingerprint.
 [[nodiscard]] std::uint64_t run_identity(const RunSpec& spec);
 
 /// One axis of a sweep. `path` is a dotted path into the RunSpec JSON

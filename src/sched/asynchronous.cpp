@@ -1,9 +1,11 @@
 #include "sched/asynchronous.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace cohesion::sched {
 
@@ -12,88 +14,103 @@ using core::RobotId;
 using core::SimulationView;
 
 namespace {
-/// Interval-membership slack shared by both bookkeeping paths.
+/// Interval-membership slack of the k-bound bookkeeping.
+///
+/// Large finite k is clamped to unrestricted Async. A robot's consecutive
+/// Looks l_i < l_{i+1} are at least min_duration + min_gap apart (own
+/// interval, then own gap), and an interval X = [s, e] lasts at most
+/// max_duration. Postponing Y past X needs Y's k-th most recent Look l_1 >
+/// s + eps and the proposal L < e - eps, with L - l_1 >= k (min_duration +
+/// min_gap); so it needs k (min_duration + min_gap) < max_duration, i.e. k
+/// < B = floor(max_duration / (min_duration + min_gap)) + 1. Any k >= B can
+/// never postpone. The clamp takes one extra unit, k > B: that leaves a
+/// whole min_duration + min_gap of slack against the few ulp(t) that each
+/// rounded `look + duration + gap` step and the endpoint of
+/// uniform_real_distribution may lose. KAsyncClamp.* checks k = B and k = B
+/// + 1 against k = SIZE_MAX bit for bit.
 constexpr double kIntervalEps = 1e-12;
+/// The look rings cost robot_count * k doubles; 2^24 of them is 128 MiB.
+constexpr std::size_t kMaxRingEntries = std::size_t{1} << 24;
+constexpr std::size_t kUnrestricted = static_cast<std::size_t>(-1);
+
+bool finite_at_least(double v, double lo) { return std::isfinite(v) && v >= lo; }
+
+void require_xi(double xi, const char* who) {
+  if (!(xi > 0.0 && xi <= 1.0)) {
+    throw std::invalid_argument(std::string(who) + ": xi must be in (0, 1]");
+  }
+}
+
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("KAsyncScheduler: ") + what);
+}
 }  // namespace
 
 KAsyncScheduler::KAsyncScheduler(std::size_t robot_count) : KAsyncScheduler(robot_count, Params{}) {}
 
 KAsyncScheduler::KAsyncScheduler(std::size_t robot_count, Params params)
     : n_(robot_count), params_(params), rng_(params.seed), next_ready_(robot_count, 0.0) {
-  if (robot_count == 0) throw std::invalid_argument("KAsyncScheduler: no robots");
-  if (params.k == 0) throw std::invalid_argument("KAsyncScheduler: k must be >= 1");
-  if (params_.indexed_intervals && params_.k != static_cast<std::size_t>(-1)) {
-    // The rings cost n * k doubles. For absurdly large finite k (someone
-    // approximating unbounded asynchrony) that would overflow or exhaust
-    // memory, so fall back to the legacy scan, whose footprint is
-    // k-independent.
-    constexpr std::size_t kMaxRingEntries = std::size_t{1} << 24;  // 128 MiB
-    if (params_.k > kMaxRingEntries / n_) {
-      params_.indexed_intervals = false;
-    } else {
-      own_looks_.resize(n_ * params_.k, 0.0);
-      own_look_count_.resize(n_, 0);
-      intervals_.reserve(2 * n_ + 17);
-      prefix_max_end_.reserve(2 * n_ + 17);
-    }
+  require(robot_count != 0, "no robots");
+  require(params.k != 0, "k must be >= 1");
+  require(std::isfinite(params.min_duration) && params.min_duration > 0.0,
+          "min_duration must be finite and > 0");
+  require(finite_at_least(params.max_duration, params.min_duration),
+          "max_duration must be finite and >= min_duration");
+  require(finite_at_least(params.min_gap, 0.0), "min_gap must be finite and >= 0");
+  require(finite_at_least(params.max_gap, params.min_gap),
+          "max_gap must be finite and >= min_gap");
+  require_xi(params.xi, "KAsyncScheduler");
+
+  // B of the kIntervalEps comment: no k >= B can postpone; the clamp keeps
+  // one unit of rounding margin.
+  const double max_looks_inside =
+      std::floor(params.max_duration / (params.min_duration + params.min_gap)) + 1.0;
+  if (static_cast<double>(params_.k) > max_looks_inside) params_.k = kUnrestricted;
+  if (params_.k != kUnrestricted) {
+    require(params_.k <= kMaxRingEntries / n_,
+            "robot count * k exceeds the 2^24-entry look-ring budget");
+    own_looks_.resize(n_ * params_.k, 0.0);
+    own_look_count_.resize(n_, 0);
+    intervals_.reserve(2 * n_ + 17);
+    prefix_max_end_.reserve(2 * n_ + 17);
   }
   // Stagger initial looks so intervals overlap from the start.
   std::uniform_real_distribution<double> jitter(0.0, params.min_duration);
   for (auto& t : next_ready_) t = jitter(rng_);
-  if (params_.heap_selection) {
-    for (RobotId r = 0; r < n_; ++r) ready_heap_.emplace(next_ready_[r], r);
-  }
+  for (RobotId r = 0; r < n_; ++r) ready_heap_.emplace(next_ready_[r], r);
 }
 
-double KAsyncScheduler::postpone_indexed(RobotId best, double look) {
+double KAsyncScheduler::postpone(RobotId best, double look) {
   const std::size_t k = params_.k;
   if (own_look_count_[best] < k) return look;  // fewer than k looks ever committed
   // The oldest of the robot's k most recent looks sits in the ring slot the
   // next look will overwrite.
   const double kth_recent = own_looks_[best * k + own_look_count_[best] % k];
   // An interval is saturated for this robot iff its start admits all k
-  // recent looks (start + eps < kth_recent, the same predicate the legacy
-  // path applies look by look). Starts are non-decreasing, so the
-  // candidates are a prefix.
+  // recent looks (start + eps < kth_recent). Starts are non-decreasing, so
+  // the candidates are a prefix.
   const auto split = std::partition_point(
       intervals_.begin(), intervals_.end(),
       [&](const OpenInterval& c) { return kth_recent > c.start + kIntervalEps; });
   if (split == intervals_.begin()) return look;
   const double max_end = prefix_max_end_[static_cast<std::size_t>(split - intervals_.begin()) - 1];
-  // One step settles the legacy fixed point: the candidate set is
-  // look-independent, and after jumping to the max end no candidate can
-  // still contain the look. Expired candidates have ends at or below the
-  // look and fail the same containment test they fail in the legacy scan.
+  // One step settles the fixed point: the candidate set is look-independent,
+  // and after jumping to the max end no candidate can still contain the
+  // look. Expired candidates have ends at or below the look and fail the
+  // containment test.
   if (look < max_end - kIntervalEps) look = max_end;
   return look;
 }
 
-double KAsyncScheduler::postpone_legacy(RobotId best, double look) {
-  bool moved = true;
-  while (moved) {
-    moved = false;
-    for (const Committed& c : open_) {
-      if (c.robot == best) continue;
-      if (look > c.start + kIntervalEps && look < c.end - kIntervalEps &&
-          c.looks_inside[best] >= params_.k) {
-        look = c.end;  // postpone past the saturated interval
-        moved = true;
-      }
-    }
-  }
-  return look;
-}
-
-void KAsyncScheduler::commit_indexed(RobotId best, const Activation& a) {
-  if (params_.k == static_cast<std::size_t>(-1)) return;  // unrestricted: nothing to track
+void KAsyncScheduler::commit(RobotId best, const Activation& a) {
   // Record the robot's own committed look in its ring of the last k.
   const std::size_t k = params_.k;
   own_looks_[best * k + own_look_count_[best] % k] = a.t_look;
   ++own_look_count_[best];
 
-  // Amortized compaction: drop expired intervals (same threshold as the
-  // legacy erase_if) once the list exceeds twice the robot count. At most
-  // one interval per robot is open, so this at least halves the list.
+  // Amortized compaction: drop expired intervals once the list exceeds
+  // twice the robot count. At most one interval per robot is open, so this
+  // at least halves the list.
   if (intervals_.size() >= 2 * n_ + 16) {
     const double look = a.t_look;
     std::size_t w = 0;
@@ -116,46 +133,15 @@ void KAsyncScheduler::commit_indexed(RobotId best, const Activation& a) {
                                 : std::max(prefix_max_end_.back(), a.t_move_end));
 }
 
-void KAsyncScheduler::commit_legacy(RobotId best, const Activation& a) {
-  const double look = a.t_look;
-  for (Committed& c : open_) {
-    if (c.robot != best && look > c.start + kIntervalEps && look < c.end - kIntervalEps) {
-      ++c.looks_inside[best];
-    }
-  }
-  open_.push_back({best, a.t_look, a.t_move_end, std::vector<std::size_t>(n_, 0)});
-  std::erase_if(open_, [&](const Committed& c) { return c.end <= look + kIntervalEps; });
-}
-
 std::optional<Activation> KAsyncScheduler::next(const SimulationView& view) {
-  // Pick the robot with the earliest permissible look time (jittered to vary
-  // the interleaving), then enforce the k-bound by postponement. The two
-  // bookkeeping paths draw no RNG, so the schedules they produce are
-  // bit-identical (tests/sched/kasync_index_test.cpp).
-  const double frontier = view.frontier();
-  RobotId best = 0;
-  if (params_.heap_selection) {
-    // Most-starved robot first: ready times only change for the committed
-    // robot (re-pushed below), so the heap top is always current.
-    best = ready_heap_.top().second;
-    ready_heap_.pop();
-  } else {
-    double best_t = std::numeric_limits<double>::infinity();
-    std::uniform_real_distribution<double> tie(0.0, 1e-6);
-    for (RobotId r = 0; r < n_; ++r) {
-      const double t = std::max(next_ready_[r], frontier) + tie(rng_);
-      if (t < best_t) {
-        best_t = t;
-        best = r;
-      }
-    }
-  }
-
-  double look = std::max(next_ready_[best], frontier);
-  if (params_.k != static_cast<std::size_t>(-1)) {
-    look = params_.indexed_intervals ? postpone_indexed(best, look)
-                                     : postpone_legacy(best, look);
-  }
+  // Most-starved robot first: ready times only change for the committed
+  // robot (re-pushed below), so the heap top is always current. Then the
+  // k-bound is enforced by postponement.
+  const RobotId best = ready_heap_.top().second;
+  ready_heap_.pop();
+  double look = std::max(next_ready_[best], view.frontier());
+  const bool bounded = params_.k != kUnrestricted;
+  if (bounded) look = postpone(best, look);
 
   std::uniform_real_distribution<double> dur(params_.min_duration, params_.max_duration);
   std::uniform_real_distribution<double> gap(params_.min_gap, params_.max_gap);
@@ -169,15 +155,10 @@ std::optional<Activation> KAsyncScheduler::next(const SimulationView& view) {
   a.t_move_start = look + compute_frac(rng_) * duration;
   a.t_move_end = look + duration;
   a.realized_fraction = params_.xi >= 1.0 ? 1.0 : frac(rng_);
-
-  if (params_.indexed_intervals) {
-    commit_indexed(best, a);
-  } else {
-    commit_legacy(best, a);
-  }
+  if (bounded) commit(best, a);
 
   next_ready_[best] = a.t_move_end + gap(rng_);
-  if (params_.heap_selection) ready_heap_.emplace(next_ready_[best], best);
+  ready_heap_.emplace(next_ready_[best], best);
   return a;
 }
 
@@ -187,6 +168,7 @@ KNestAScheduler::KNestAScheduler(std::size_t robot_count, Params params)
     : n_(robot_count), params_(params), rng_(params.seed) {
   if (robot_count == 0) throw std::invalid_argument("KNestAScheduler: no robots");
   if (params.k == 0) throw std::invalid_argument("KNestAScheduler: k must be >= 1");
+  require_xi(params.xi, "KNestAScheduler");
   plan_round();
 }
 

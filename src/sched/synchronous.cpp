@@ -1,5 +1,7 @@
 #include "sched/synchronous.hpp"
 
+#include <stdexcept>
+
 namespace cohesion::sched {
 
 using core::Activation;
@@ -26,6 +28,9 @@ SSyncScheduler::SSyncScheduler(std::size_t robot_count) : SSyncScheduler(robot_c
 
 SSyncScheduler::SSyncScheduler(std::size_t robot_count, Params params)
     : n_(robot_count), params_(params), rng_(params.seed), idle_rounds_(robot_count, 0) {
+  if (!(params.xi > 0.0 && params.xi <= 1.0)) {
+    throw std::invalid_argument("SSyncScheduler: xi must be in (0, 1]");
+  }
   plan_round();
 }
 

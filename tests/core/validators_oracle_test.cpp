@@ -176,23 +176,19 @@ TEST(ValidatorsOracle, SchedulerFamilyTracesAgree) {
        }},
   };
   for (const std::size_t k : {1, 2, 3, 5, 8}) {
-    for (const bool heap : {false, true}) {
-      for (const bool long_intervals : {false, true}) {
-        families.push_back(
-            {"kasync k=" + std::to_string(k) + (heap ? " heap" : "") +
-                 (long_intervals ? " long" : ""),
-             6, 600, [=](std::uint64_t seed) {
-               sched::KAsyncScheduler::Params p;
-               p.k = k;
-               p.heap_selection = heap;
-               if (long_intervals) {
-                 p.min_duration = 1.0;
-                 p.max_duration = 4.0;
-               }
-               p.seed = seed;
-               return std::make_unique<sched::KAsyncScheduler>(6, p);
-             }});
-      }
+    for (const bool long_intervals : {false, true}) {
+      families.push_back(
+          {"kasync k=" + std::to_string(k) + (long_intervals ? " long" : ""), 6, 600,
+           [=](std::uint64_t seed) {
+             sched::KAsyncScheduler::Params p;
+             p.k = k;
+             if (long_intervals) {
+               p.min_duration = 1.0;
+               p.max_duration = 4.0;
+             }
+             p.seed = seed;
+             return std::make_unique<sched::KAsyncScheduler>(6, p);
+           }});
     }
   }
   for (const std::size_t k : {1, 2, 3, 6}) {

@@ -166,6 +166,49 @@ TEST(Checkpoint, StaleCheckpointIsRejectedWithActionableError) {
   }
 }
 
+TEST(Checkpoint, PreBumpDynamicsJournalIsRefused) {
+  // A journal written before the last kDynamicsVersion bump holds outcomes
+  // of the old seeded stream; resuming from it would mix two streams. Its
+  // header carries the fingerprint of the unversioned hash over the same
+  // runs, which must be refused by the named cause.
+  const ExperimentSpec e = checkpoint_sweep();
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto fnv = [&](const std::string& text) {
+    for (const unsigned char c : text) {
+      h ^= c;
+      h *= 0x100000001B3ull;
+    }
+  };
+  for (const ExpandedRun& run : e.expand()) {
+    fnv(std::to_string(run.index) + ":" + run.spec.to_json().dump() + ";");
+  }
+  fnv("early_stop=" + e.early_stop.to_json().dump());
+  const std::string pre_bump = fingerprint_hex(h);
+  const std::string current = runs_fingerprint(e.expand(), e.early_stop);
+  ASSERT_NE(pre_bump, current);
+
+  TempFile ckpt("prebump");
+  BatchRunner::Options writer;
+  writer.checkpoint_path = ckpt.path();
+  (void)BatchRunner(writer).run(e);
+  std::string content = read_file(ckpt.path());
+  const std::size_t pos = content.find(current);
+  ASSERT_NE(pos, std::string::npos);
+  content.replace(pos, current.size(), pre_bump);
+  write_file(ckpt.path(), content);
+
+  BatchRunner::Options opt;
+  opt.checkpoint_path = ckpt.path();
+  opt.resume = true;
+  try {
+    (void)BatchRunner(opt).run(e);
+    FAIL() << "expected the pre-bump journal to be refused";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("fingerprint mismatch"), std::string::npos)
+        << err.what();
+  }
+}
+
 TEST(Checkpoint, MalformedBodyBeforeTheTailIsRejected) {
   const ExperimentSpec e = checkpoint_sweep();
   TempFile ckpt("malformed");

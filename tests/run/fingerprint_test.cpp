@@ -283,5 +283,24 @@ TEST(Fingerprint, HexRenderingIsStable) {
   EXPECT_EQ(hex, fingerprint_hex(run_identity(s)));
 }
 
+TEST(Fingerprint, DynamicsVersionSeparatesPreBumpHashes) {
+  // Both identities hash kDynamicsVersion ahead of the spec bytes, so a
+  // stream header or cache entry keyed by the unversioned hash of the same
+  // spec (written before the bump) never matches.
+  const auto unversioned = [](const RunSpec& hashed) {
+    std::uint64_t h = 1469598103934665603ull;  // the offset spec.cpp hashes with
+    for (const char c : hashed.to_json().dump()) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  RunSpec s = sample_spec();
+  s.trace = TraceSpec{};
+  EXPECT_NE(spec_fingerprint(s), unversioned(s));
+  s.name = RunSpec{}.name;
+  EXPECT_NE(run_identity(s), unversioned(s));
+}
+
 }  // namespace
 }  // namespace cohesion::run

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "algo/kknps.hpp"
+#include "run/instantiate.hpp"
 
 namespace cohesion::run {
 namespace {
@@ -98,6 +99,66 @@ TEST(Registry, SeedParamPinsOverDerivedSeed) {
     va.front = pa->t_look;
     vb.front = pb->t_look;
   }
+}
+
+TEST(Registry, BadSchedulerParamsAreRejectedByName) {
+  struct Case {
+    const char* type;
+    const char* params;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"kasync", R"({"min_duration": 0})", "min_duration"},
+      {"kasync", R"({"min_duration": -0.5, "max_duration": 1})", "min_duration"},
+      {"kasync", R"({"max_duration": 0.1})", "max_duration"},
+      {"kasync", R"({"min_gap": -0.01})", "min_gap"},
+      {"kasync", R"({"max_gap": 0.01})", "max_gap"},
+      {"kasync", R"({"xi": 0})", "xi"},
+      {"async", R"({"xi": 1.5})", "xi"},
+      {"knesta", R"({"xi": -1})", "xi"},
+      {"ssync", R"({"xi": 2})", "xi"},
+      // B = 10^7 + 1 Looks fit in one interval, so k = 5 * 10^6 is not
+      // clamped, and 4 * k ring entries exceed the 2^24 budget.
+      {"kasync", R"({"k": 5000000, "min_duration": 1e-7, "max_duration": 1, "min_gap": 0})",
+       "look-ring budget"},
+  };
+  for (const Case& c : cases) {
+    RunSpec spec;
+    spec.n = 4;
+    spec.scheduler = {.type = c.type, .params = Json::parse(c.params)};
+    try {
+      (void)instantiate(spec);
+      ADD_FAILURE() << c.type << " " << c.params << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << c.params << ": " << e.what();
+    }
+  }
+}
+
+TEST(Registry, RetiredKAsyncPathKeysAreIgnored) {
+  // heap_selection / indexed_intervals once selected among four scheduler
+  // paths; there is one now, and specs that still carry the keys build the
+  // same schedule as specs without them.
+  const auto looks_of = [](const char* params) {
+    RunSpec spec;
+    spec.n = 6;
+    spec.seed = 5;
+    spec.scheduler = {.type = "kasync", .params = Json::parse(params)};
+    spec.stop.epsilon = -1.0;
+    spec.stop.max_activations = 300;
+    RunInstance inst = instantiate(spec);
+    inst.engine->run(spec.stop.max_activations);
+    std::vector<std::pair<core::RobotId, double>> out;
+    for (const auto& rec : inst.engine->trace().records()) {
+      out.emplace_back(rec.activation.robot, rec.activation.t_look);
+    }
+    return out;
+  };
+  const auto plain = looks_of(R"({"k": 2})");
+  ASSERT_EQ(plain.size(), 300u);
+  EXPECT_EQ(looks_of(R"({"k": 2, "heap_selection": true})"), plain);
+  EXPECT_EQ(looks_of(R"({"k": 2, "heap_selection": false, "indexed_intervals": false})"), plain);
 }
 
 }  // namespace

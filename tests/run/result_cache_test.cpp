@@ -192,6 +192,46 @@ TEST(ResultCache, CorruptEntriesAreRejectedByNameAndRecomputed) {
   }
 }
 
+/// An entry written before the last kDynamicsVersion bump sits under the
+/// unversioned identity of the same spec. It holds an old-stream outcome,
+/// so it must never be served: the lookup misses (not a reject — the entry
+/// is simply not at the current address) and the outcome is recomputed.
+TEST(ResultCache, PreBumpDynamicsEntryIsNotServed) {
+  TempDir dir("prebump");
+  const ExperimentSpec e = pinned_seed_experiment("prebump", 300, 2);
+  const std::string reference = run_report(e, nullptr);
+  {
+    ResultCache seed_cache(ResultCache::Options{.dir = dir.path()});
+    ASSERT_EQ(run_report(e, &seed_cache), reference);
+  }
+  for (const ExpandedRun& run : e.expand()) {
+    RunSpec hashed = run.spec;
+    hashed.trace = TraceSpec{};
+    hashed.name = RunSpec{}.name;
+    std::uint64_t h = 1469598103934665603ull;  // the offset spec.cpp hashes with
+    for (const char c : hashed.to_json().dump()) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+    const std::string pre_bump = fingerprint_hex(h);
+    ASSERT_NE(pre_bump, fingerprint_hex(run_identity(run.spec)));
+
+    const std::string current =
+        ResultCache(ResultCache::Options{.dir = dir.path()}).entry_path(run.spec);
+    Json doc = Json::parse(read_file(current));
+    doc.set("identity", pre_bump);
+    write_file(dir.path() + "/" + pre_bump + ".json", doc.dump() + "\n");
+    fs::remove(current);
+  }
+
+  ResultCache cache(ResultCache::Options{.dir = dir.path()});
+  EXPECT_EQ(run_report(e, &cache), reference);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().rejects, 0u);
+  EXPECT_EQ(cache.stats().inserts, 2u);
+}
+
 /// The tentpole invalidation property, fuzzed: edit one axis value at a
 /// seeded-random subset of a 200-variant sweep; exactly the edited
 /// variants miss, everything else hits, and the warm report is

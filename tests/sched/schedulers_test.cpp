@@ -83,29 +83,36 @@ TEST_P(KAsyncValidation, TraceSatisfiesK) {
 }
 
 TEST_P(KAsyncValidation, ActuallyExercisesAsynchrony) {
-  const std::size_t k = GetParam();
-  KAsyncScheduler::Params p;
-  p.k = k;
-  p.min_duration = 1.0;
-  p.max_duration = 4.0;
-  p.seed = 23 + k;
-  KAsyncScheduler sched(6, p);
-  const Trace t = run_with(sched, 6, 600);
   // The schedule should not be degenerate-synchronous: overlapping intervals
-  // must occur (k >= 1 of them).
-  EXPECT_GE(core::max_activations_within_interval(t), 1u);
+  // must occur. For small k the bound must also bind — some interval holds
+  // exactly k foreign Looks of one robot — or the selection would make the
+  // k-bound vacuous.
+  const std::size_t k = GetParam();
+  for (const std::size_t n : {6u, 64u}) {
+    KAsyncScheduler::Params p;
+    p.k = k;
+    p.min_duration = 1.0;
+    p.max_duration = 4.0;
+    p.seed = 23 + k;
+    KAsyncScheduler sched(n, p);
+    const Trace t = run_with(sched, n, 100 * n);
+    const std::size_t depth = core::max_activations_within_interval(t);
+    if (k <= 3) {
+      EXPECT_EQ(depth, k) << "n = " << n;
+    } else {
+      EXPECT_GE(depth, 1u) << "n = " << n;
+    }
+  }
 }
 
 TEST_P(KAsyncValidation, HeapSelectionSatisfiesKAndFairness) {
-  // Heap selection follows a different seeded stream (O(1) RNG draws per
-  // proposal instead of n tie-jitters) but must generate equally valid
-  // k-async schedules: the k-bound, fairness and genuine interval overlap
-  // all certify against the same validators.
+  // A second seed and the default durations: the ready-time heap picks the
+  // most-starved robot first, so the k-bound, fairness and genuine interval
+  // overlap must all certify against the same validators.
   const std::size_t k = GetParam();
   KAsyncScheduler::Params p;
   p.k = k;
   p.seed = 29 + k;
-  p.heap_selection = true;
   KAsyncScheduler sched(6, p);
   const Trace t = run_with(sched, 6, 600);
   EXPECT_TRUE(core::is_k_async(t, k)) << "max nested = "
@@ -118,7 +125,6 @@ TEST(KAsync, HeapSelectionIsDeterministicPerSeed) {
   KAsyncScheduler::Params p;
   p.k = 2;
   p.seed = 77;
-  p.heap_selection = true;
   KAsyncScheduler a(5, p);
   KAsyncScheduler b(5, p);
   const Trace ta = run_with(a, 5, 200);
