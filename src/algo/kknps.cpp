@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/spatial_index.hpp"
 #include "geometry/angles.hpp"
 
 namespace cohesion::algo {
@@ -33,8 +34,9 @@ Vec2 KknpsAlgorithm::compute(const Snapshot& snapshot) const {
 
   std::vector<double> directions;
   directions.reserve(snapshot.size());
+  const core::HypotCut half(v_y / 2.0);
   for (const auto& o : snapshot.neighbours) {
-    if (o.position.norm() > v_y / 2.0) directions.push_back(o.position.angle());
+    if (half.greater(o.position)) directions.push_back(o.position.angle());
   }
   if (directions.empty()) return {0.0, 0.0};  // cannot happen with delta == 0
 

@@ -137,15 +137,14 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& f
 
   const Vec2 self = cached_position(robot);
   const double v = config_.visibility.radius_of(robot);
+  const VisibilityBall ball(v, config_.visibility.open_ball);
   inc_grid_.candidates_near(self, v, neighbor_ids_);
   snap.neighbours.reserve(neighbor_ids_.size());
   for (const std::size_t other : neighbor_ids_) {
     if (other == robot) continue;
-    const Vec2 p = cached_position(other);
-    const double d = self.distance_to(p);
-    const bool visible = config_.visibility.open_ball ? (d < v) : (d <= v + kVisibilityEpsilon);
-    if (!visible) continue;
-    snap.neighbours.push_back({frame.perceive(p - self, rng_), false});
+    const Vec2 rel = cached_position(other) - self;
+    if (!ball.contains(rel)) continue;
+    snap.neighbours.push_back({frame.perceive(rel, rng_), false});
   }
 }
 
@@ -154,14 +153,12 @@ void Engine::snapshot_via_scan(RobotId robot, Time t, const LocalFrame& frame, S
   // incremental path's backward-time fallback may not, and goes through the
   // bounded history instead — bit-identical wherever both can answer.
   const Vec2 self = history_position(robot, t);
-  const double v = config_.visibility.radius_of(robot);
+  const VisibilityBall ball(config_.visibility.radius_of(robot), config_.visibility.open_ball);
   for (RobotId other = 0; other < trace_.robot_count(); ++other) {
     if (other == robot) continue;
-    const Vec2 p = history_position(other, t);
-    const double d = self.distance_to(p);
-    const bool visible = config_.visibility.open_ball ? (d < v) : (d <= v + kVisibilityEpsilon);
-    if (!visible) continue;
-    snap.neighbours.push_back({frame.perceive(p - self, rng_), false});
+    const Vec2 rel = history_position(other, t) - self;
+    if (!ball.contains(rel)) continue;
+    snap.neighbours.push_back({frame.perceive(rel, rng_), false});
   }
 }
 

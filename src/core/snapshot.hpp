@@ -2,8 +2,10 @@
 // distorted view of the visible neighbourhood (paper §2.2).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
+#include "core/spatial_index.hpp"
 #include "geometry/vec2.hpp"
 
 namespace cohesion::core {
@@ -24,10 +26,15 @@ struct Snapshot {
   [[nodiscard]] std::size_t size() const { return neighbours.size(); }
 
   /// Perceived distance to the furthest visible neighbour — the paper's
-  /// working lower bound V_Y on the (unknown) visibility radius.
+  /// working lower bound V_Y on the (unknown) visibility radius. Bitwise
+  /// the max of hypot over the neighbours; hypot is evaluated only for
+  /// neighbours that NormMaxFilter cannot rule out.
   [[nodiscard]] double furthest_distance() const {
     double best = 0.0;
-    for (const auto& o : neighbours) best = std::max(best, o.position.norm());
+    NormMaxFilter furthest;
+    for (const auto& o : neighbours) {
+      if (furthest.admits(o.position)) best = std::max(best, o.position.norm());
+    }
     return best;
   }
 };

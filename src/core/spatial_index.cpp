@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace cohesion::core {
 
 namespace {
 
 // Cells whose floored coordinate would overflow the packing range are clamped
-// onto the boundary cell. Clamping (and the 32-bit key packing below) may
-// alias distinct far-away cells onto one bucket; that only enlarges the
-// candidate set, and the exact distance predicate discards the aliases, so
-// query results are unaffected.
+// onto the boundary cell. Clamping (and IncrementalGrid's 32-bit key packing
+// below) may alias distinct far-away cells onto one bucket; that only
+// enlarges the candidate set, and the exact distance predicate discards the
+// aliases, so query results are unaffected.
 constexpr double kMaxCell = 9.0e15;
 
 std::size_t next_pow2(std::size_t v) {
@@ -25,9 +26,7 @@ std::uint64_t pack_cell_key(std::int64_t cx, std::int64_t cy) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
 }
 
-// One coordinate→cell mapping shared by both grids: the candidate-superset
-// guarantee between the rebuild and incremental paths relies on them
-// agreeing bit-for-bit.
+// One coordinate→cell mapping shared by both grids.
 std::int64_t cell_index(double coord, double inv_cell) {
   double c = std::floor(coord * inv_cell);
   if (std::isnan(c)) c = 0.0;
@@ -54,94 +53,139 @@ constexpr std::int64_t kMaxSegmentSpan = 8;
 void SpatialGrid::set_cell_size(double cell_size) {
   cell_ = (std::isfinite(cell_size) && cell_size > 0.0) ? cell_size : 1.0;
   inv_cell_ = 1.0 / cell_;
-  points_ = nullptr;
-  next_.clear();
+  ids_.clear();
+  pos_.clear();
+  width_ = height_ = 0;
 }
 
-std::int64_t SpatialGrid::cell_of(double coord) const { return cell_index(coord, inv_cell_); }
-
-std::uint64_t SpatialGrid::cell_key(std::int64_t cx, std::int64_t cy) {
-  return pack_cell_key(cx, cy);
-}
-
-std::size_t SpatialGrid::hash_key(std::uint64_t key) { return mix_cell_key(key); }
-
-std::size_t SpatialGrid::find_slot(std::uint64_t key) const {
-  std::size_t i = hash_key(key) & mask_;
-  while (slot_stamp_[i] == stamp_ && slot_key_[i] != key) i = (i + 1) & mask_;
-  return i;
-}
-
-void SpatialGrid::ensure_capacity(std::size_t point_count) {
-  // Keep load factor <= 1/2 relative to the worst case of one cell per point.
-  const std::size_t want = next_pow2(std::max<std::size_t>(16, point_count * 2));
-  if (slot_key_.size() < want) {
-    slot_key_.assign(want, 0);
-    slot_head_.assign(want, -1);
-    slot_stamp_.assign(want, 0);
-    mask_ = want - 1;
-    stamp_ = 0;
-  }
+std::int64_t SpatialGrid::column_of(double coord, std::int64_t origin) const {
+  // Base cells are clamped to +-9e15, so the shifted difference cannot
+  // overflow; >> floors, keeping the mapping monotone in coord.
+  return (cell_index(coord, inv_cell_) >> shift_) - origin;
 }
 
 void SpatialGrid::rebuild(const std::vector<geom::Vec2>& points) {
-  points_ = &points;
-  ensure_capacity(points.size());
-  ++stamp_;
-  next_.assign(points.size(), -1);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint64_t key = cell_key(cell_of(points[i].x), cell_of(points[i].y));
-    const std::size_t slot = find_slot(key);
-    if (slot_stamp_[slot] != stamp_) {
-      slot_stamp_[slot] = stamp_;
-      slot_key_[slot] = key;
-      slot_head_[slot] = -1;
-    }
-    next_[i] = slot_head_[slot];
-    slot_head_[slot] = static_cast<std::int32_t>(i);
+  const std::size_t n = points.size();
+  ids_.resize(n);
+  pos_.resize(n);
+  width_ = height_ = 0;
+  if (n == 0) return;
+
+  struct Box {
+    std::int64_t x_lo, x_hi, y_lo, y_hi;
+  };
+  Box box{std::numeric_limits<std::int64_t>::max(), std::numeric_limits<std::int64_t>::min(),
+          std::numeric_limits<std::int64_t>::max(), std::numeric_limits<std::int64_t>::min()};
+  base_x_.resize(n);
+  base_y_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t cx = cell_index(points[i].x, inv_cell_);
+    const std::int64_t cy = cell_index(points[i].y, inv_cell_);
+    base_x_[i] = cx;
+    base_y_[i] = cy;
+    box = {std::min(box.x_lo, cx), std::max(box.x_hi, cx), std::min(box.y_lo, cy),
+           std::max(box.y_hi, cy)};
   }
+  // Least shift whose built cells tile `b` in at most 4n + 64 cells.
+  const std::size_t cap = 4 * n + 64;
+  const auto fit_shift = [cap](const Box& b) {
+    for (int shift = 0;; ++shift) {
+      const auto w = static_cast<std::size_t>((b.x_hi >> shift) - (b.x_lo >> shift)) + 1;
+      const auto h = static_cast<std::size_t>((b.y_hi >> shift) - (b.y_lo >> shift)) + 1;
+      if (w <= cap && h <= cap / w) return shift;
+    }
+  };
+  shift_ = fit_shift(box);
+  if (const std::size_t m = std::min(kOutliersPerSide, n / 4); shift_ > 0 && m > 0) {
+    // A few far points must not coarsen a compact swarm: the box between
+    // the m-th smallest and m-th largest cell on each axis leaves at most
+    // 4m points out, and those go to the outlier run if that box needs
+    // finer cells.
+    const auto ranks = [&](const std::vector<std::int64_t>& cells) {
+      rank_scratch_ = cells;
+      std::nth_element(rank_scratch_.begin(), rank_scratch_.begin() + m, rank_scratch_.end());
+      const std::int64_t lo = rank_scratch_[m];
+      std::nth_element(rank_scratch_.begin(), rank_scratch_.end() - 1 - m, rank_scratch_.end());
+      return std::pair{lo, rank_scratch_[n - 1 - m]};
+    };
+    const auto [x_lo, x_hi] = ranks(base_x_);
+    const auto [y_lo, y_hi] = ranks(base_y_);
+    const Box core{x_lo, x_hi, y_lo, y_hi};
+    if (const int shift = fit_shift(core); shift < shift_) {
+      box = core;
+      shift_ = shift;
+    }
+  }
+  x0_ = box.x_lo >> shift_;
+  y0_ = box.y_lo >> shift_;
+  width_ = static_cast<std::size_t>((box.x_hi >> shift_) - x0_) + 1;
+  height_ = static_cast<std::size_t>((box.y_hi >> shift_) - y0_) + 1;
+
+  // Stable counting sort into row-major cell order, with the outliers
+  // (points outside `box`; none unless it was trimmed) as one extra bucket
+  // after the last cell: count, prefix-sum, then place points in id order
+  // (so ids ascend within each bucket), which leaves each cell_start_ entry
+  // at the next bucket's start — shift them back.
+  const std::size_t cells = width_ * height_;
+  cell_start_.assign(cells + 2, 0);
+  cell_of_point_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool outlier = base_x_[i] < box.x_lo || base_x_[i] > box.x_hi ||
+                         base_y_[i] < box.y_lo || base_y_[i] > box.y_hi;
+    const std::size_t cell =
+        outlier ? cells
+                : static_cast<std::size_t>((base_y_[i] >> shift_) - y0_) * width_ +
+                      static_cast<std::size_t>((base_x_[i] >> shift_) - x0_);
+    cell_of_point_[i] = cell;
+    ++cell_start_[cell + 1];
+  }
+  for (std::size_t c = 1; c <= cells + 1; ++c) cell_start_[c] += cell_start_[c - 1];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t at = cell_start_[cell_of_point_[i]]++;
+    ids_[at] = i;
+    pos_[at] = points[i];
+  }
+  for (std::size_t c = cells + 1; c > 0; --c) cell_start_[c] = cell_start_[c - 1];
+  cell_start_[0] = 0;
 }
 
 void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
                                    std::vector<std::size_t>& out) const {
   out.clear();
-  if (points_ == nullptr || next_.empty()) return;
-  const std::vector<geom::Vec2>& pts = *points_;
-  const auto visible = [&](std::size_t i) {
-    const double d = q.distance_to(pts[i]);
-    return open_ball ? (d < r) : (d <= r + kVisibilityEpsilon);
-  };
+  if (width_ == 0) return;
+  const VisibilityBall ball(r, open_ball);
 
-  // Bounding square of the closed ball (a superset of the open ball too).
+  // Bounding square of the closed ball (a superset of the open ball too),
+  // clipped to the array, which holds every point but the outliers. A NaN
+  // bound (q = inf with r = inf, say, where hypot(inf - x, 0) = inf <= inf
+  // for every finite x) spans the whole axis.
   const double rq = std::max(r, 0.0) + kVisibilityEpsilon;
-  const std::int64_t cx0 = cell_of(q.x - rq), cx1 = cell_of(q.x + rq);
-  const std::int64_t cy0 = cell_of(q.y - rq), cy1 = cell_of(q.y + rq);
-  const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
-  const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
-  if (span_x > 64 || span_y > 64 || span_x * span_y > pts.size() + 9) {
-    // Query ball covers more cells than there are points: a direct scan is
-    // cheaper (and trivially exact). Ids come out already ascending.
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      if (visible(i)) out.push_back(i);
+  const auto span = [&](double c, std::int64_t origin, std::size_t count) {
+    const double lo = c - rq, hi = c + rq;
+    const std::int64_t last = static_cast<std::int64_t>(count) - 1;
+    if (std::isnan(lo) || std::isnan(hi)) return std::pair<std::int64_t, std::int64_t>{0, last};
+    return std::pair{std::max<std::int64_t>(column_of(lo, origin), 0),
+                     std::min(column_of(hi, origin), last)};
+  };
+  const auto scan = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t j = begin; j < end; ++j) {
+      if (ball.contains(q - pos_[j])) out.push_back(ids_[j]);
     }
-    return;
-  }
-
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      const std::size_t slot = find_slot(cell_key(cx, cy));
-      if (slot_stamp_[slot] != stamp_) continue;
-      for (std::int32_t i = slot_head_[slot]; i >= 0; i = next_[i]) {
-        if (visible(static_cast<std::size_t>(i))) {
-          out.push_back(static_cast<std::size_t>(i));
-        }
-      }
+  };
+  // One contiguous run of cells per row, then the outliers.
+  const auto [col0, col1] = span(q.x, x0_, width_);
+  const auto [row0, row1] = span(q.y, y0_, height_);
+  if (col0 <= col1) {
+    for (std::int64_t row = row0; row <= row1; ++row) {
+      const std::size_t base = static_cast<std::size_t>(row) * width_;
+      scan(cell_start_[base + static_cast<std::size_t>(col0)],
+           cell_start_[base + static_cast<std::size_t>(col1) + 1]);
     }
   }
+  const std::size_t cells = width_ * height_;
+  scan(cell_start_[cells], cell_start_[cells + 1]);
+  // Ids ascend within a bucket, not across buckets.
   std::sort(out.begin(), out.end());
-  // Key aliasing can route one point through two scanned buckets only if two
-  // scanned cells share a slot key; dedupe to keep the contract exact.
-  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ namespace cohesion::core {
 
 namespace {
 
-// Below this size the O(n^2) pairwise scan beats building a hash grid. Both
+// Below this size the O(n^2) pairwise scan beats building a grid. Both
 // paths apply the identical predicate to an identical candidate order, so
 // the produced edge lists are the same either way.
 constexpr std::size_t kGridThreshold = 64;
@@ -22,11 +22,10 @@ VisibilityGraph::VisibilityGraph(const std::vector<geom::Vec2>& positions, doubl
                                  bool open_ball)
     : n_(positions.size()) {
   if (n_ < kGridThreshold || !(v > 0.0)) {
+    const VisibilityBall ball(v, open_ball);
     for (RobotId a = 0; a < n_; ++a) {
       for (RobotId b = a + 1; b < n_; ++b) {
-        const double d = positions[a].distance_to(positions[b]);
-        const bool vis = open_ball ? (d < v) : (d <= v + kVisibilityEpsilon);
-        if (vis) edges_.emplace_back(a, b);
+        if (ball.contains(positions[a] - positions[b])) edges_.emplace_back(a, b);
       }
     }
     return;
@@ -118,12 +117,20 @@ VisiblePairs::VisiblePairs(const std::vector<geom::Vec2>& positions, double v) :
 
 double VisiblePairs::worst_stretch(const std::vector<geom::Vec2>& positions) const {
   // Same a < b orientation and arithmetic as the pairwise loop; max() is
-  // order-independent, so the result is bit-identical to it.
+  // order-independent, so the result is bit-identical to it. For V > 0,
+  // fl(d / V) is non-decreasing in d, so pairs the filter proves shorter
+  // than an evaluated one cannot raise the max and skip their hypot. For
+  // V <= 0 every ratio is <= 0, NaN or +inf: max(0, ·) ignores the first
+  // two, and a skipped pair's ratio is +inf only if a longer admitted
+  // pair's is too.
   double worst = 0.0;
+  NormMaxFilter longest;
   for (std::size_t a = 0; a < robot_count(); ++a) {
     const geom::Vec2 pa = positions[a];
     for (std::size_t i = offsets_[a]; i < offsets_[a + 1]; ++i) {
-      worst = std::max(worst, pa.distance_to(positions[partners_[i]]) / v_);
+      const geom::Vec2 d = pa - positions[partners_[i]];
+      if (!longest.admits(d)) continue;
+      worst = std::max(worst, d.norm() / v_);
     }
   }
   return worst;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace cohesion::geom {
 
@@ -49,26 +49,23 @@ AngularGap largest_angular_gap(const std::vector<double>& directions) {
   const std::size_t n = directions.size();
   if (n == 1) return AngularGap{kTwoPi, 0, 0};
 
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> norm(n);
-  for (std::size_t i = 0; i < n; ++i) norm[i] = normalize_angle(directions[i]);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (norm[a] != norm[b]) return norm[a] < norm[b];
-    return a < b;
-  });
+  // (normalized angle, input index), ordered by angle and then index. A NaN
+  // angle compares unordered, so pair's (three-way) < is false both ways.
+  std::vector<std::pair<double, std::size_t>> sorted(n);
+  for (std::size_t i = 0; i < n; ++i) sorted[i] = {normalize_angle(directions[i]), i};
+  std::sort(sorted.begin(), sorted.end());
 
   AngularGap best;
   best.gap = -1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cur = order[i];
-    const std::size_t nxt = order[(i + 1) % n];
-    double gap = norm[nxt] - norm[cur];
+    const auto& cur = sorted[i];
+    const auto& nxt = sorted[(i + 1) % n];
+    double gap = nxt.first - cur.first;
     if (i + 1 == n) gap += kTwoPi;
     if (gap > best.gap) {
       best.gap = gap;
-      best.before = cur;
-      best.after = nxt;
+      best.before = cur.second;
+      best.after = nxt.second;
     }
   }
   return best;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <vector>
 
@@ -115,6 +116,88 @@ TEST(SpatialGrid, DegenerateInputs) {
   EXPECT_EQ(got, (std::vector<std::size_t>{2}));
   grid.neighbors_within({0.0, 0.0}, 0.0, true, got);
   EXPECT_TRUE(got.empty());
+}
+
+/// Every point (and a few off-grid points) queried at each radius and ball
+/// kind must match the brute scan; the dense cell array stays O(n).
+void expect_grid_exact(const std::vector<Vec2>& pts, double cell, const std::vector<double>& radii,
+                       const char* what) {
+  SpatialGrid grid(cell);
+  grid.rebuild(pts);
+  EXPECT_LE(grid.cell_count(), 4 * pts.size() + 64) << what;
+  std::vector<Vec2> queries = pts;
+  queries.insert(queries.end(), {{0.0, 0.0}, {1e9, 0.0}, {-3.5, 2.25}, {NAN, 0.0}});
+  std::vector<std::size_t> got;
+  for (const double r : radii) {
+    for (const bool open_ball : {false, true}) {
+      for (const Vec2 q : queries) {
+        grid.neighbors_within(q, r, open_ball, got);
+        ASSERT_EQ(got, brute_neighbors(pts, q, r, open_ball))
+            << what << " q=" << q << " r=" << r << " open=" << open_ball;
+      }
+    }
+  }
+}
+
+TEST(SpatialGrid, DenseArrayStaysExactAndLinearForAnySpread) {
+  std::mt19937_64 rng(2026);
+  // One robot 1e9 V away from a 400-robot swarm: the bounding box would
+  // need ~10^18 cells, so the built cells coarsen until it fits.
+  std::vector<Vec2> far = make_points(rng, 400, 8.0, 1.0);
+  far.push_back({1e9, 0.0});
+  expect_grid_exact(far, 1.0, {1.0, 0.0, 2.5}, "far robot");
+
+  // Far robots must not coarsen a compact lattice: up to 8 per side go to
+  // the outlier run and the lattice keeps the cells it has alone. A 9th on
+  // one side forces coarsening instead. Exact either way.
+  std::vector<Vec2> lattice;
+  for (int i = 0; i < 400; ++i) lattice.push_back({0.75 * (i % 20), 0.75 * (i / 20)});
+  SpatialGrid alone(1.0);
+  alone.rebuild(lattice);
+  std::vector<Vec2> ringed = lattice;
+  for (int i = 0; i < 8; ++i) {
+    ringed.insert(ringed.end(), {{1e9, 1.0 * i}, {-1e9, 1.0 * i}, {1.0 * i, 1e9}, {1.0 * i, -1e6}});
+  }
+  for (const std::size_t extra : {1u, 32u}) {
+    const std::vector<Vec2> pts(ringed.begin(), ringed.begin() + 400 + extra);
+    SpatialGrid grid(1.0);
+    grid.rebuild(pts);
+    EXPECT_EQ(grid.cell_count(), alone.cell_count()) << extra << " far robots";
+    expect_grid_exact(pts, 1.0, {1.0, 0.0, 2.5}, "far robots as outliers");
+  }
+  ringed.push_back({-1e9, 8.0});
+  SpatialGrid coarse(1.0);
+  coarse.rebuild(ringed);
+  EXPECT_NE(coarse.cell_count(), alone.cell_count());  // coarse cells over the whole box
+  expect_grid_exact(ringed, 1.0, {1.0, 0.0, 2.5}, "one far robot too many");
+
+  // NaN and +-1e300 coordinates (cells clamp; NaN maps to cell 0).
+  std::vector<Vec2> wild = make_points(rng, 60, 3.0, 1.0);
+  wild.insert(wild.end(), {{NAN, 1.0}, {1.0, NAN}, {NAN, NAN}, {1e300, -1e300},
+                           {-1e300, 1e300}, {1e300, 1e300}, {INFINITY, 0.0}, {0.5, -INFINITY}});
+  expect_grid_exact(wild, 1.0, {1.0, 0.0, 1e300, INFINITY}, "non-finite");
+
+  // All points in one cell.
+  const std::vector<Vec2> one_cell = make_points(rng, 200, 0.45, 0.3);
+  expect_grid_exact(one_cell, 1.0, {0.3, 1.0}, "one cell");
+
+  // An L-shaped chain of 4096 robots at spacing 0.75: the bounding box is
+  // ~1536^2 cells for 4096 points, the case the cap exists for.
+  std::vector<Vec2> chain;
+  for (int i = 0; i < 2048; ++i) chain.push_back({0.75 * i, 0.0});
+  for (int i = 1; i <= 2048; ++i) chain.push_back({0.75 * 2047, 0.75 * i});
+  SpatialGrid grid(1.0);
+  grid.rebuild(chain);
+  EXPECT_LE(grid.cell_count(), 4 * chain.size() + 64);
+  std::vector<std::size_t> got;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    grid.neighbors_within(chain[i], 1.0, false, got);
+    ASSERT_EQ(got, brute_neighbors(chain, chain[i], 1.0, false)) << "chain robot " << i;
+  }
+
+  // Query radius far above the cell side, and r = 0.
+  const std::vector<Vec2> swarm = make_points(rng, 300, 6.0, 0.25);
+  expect_grid_exact(swarm, 0.25, {0.0, 40.0, 5.0}, "radius vs cell");
 }
 
 TEST(VisibilityGraph, GridPathMatchesBruteForce) {

@@ -1,0 +1,393 @@
+// Differential tests of the squared-distance predicates (core/spatial_index.hpp)
+// against the literal std::hypot comparisons they replace: HypotCut and
+// VisibilityBall on 10^6 seeded random pairs and on adversarial sets
+// (distances a few ulps from the threshold, degenerate radii, signed
+// zeros, subnormal, huge, infinite and NaN coordinates); NormMaxFilter and
+// Snapshot::furthest_distance as a running max; KknpsAlgorithm::compute,
+// VisiblePairs::worst_stretch and geom::largest_angular_gap against
+// verbatim copies of their hypot-per-candidate (and two-buffer)
+// predecessors. Every comparison is bitwise.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <vector>
+
+#include "algo/kknps.hpp"
+#include "core/snapshot.hpp"
+#include "core/spatial_index.hpp"
+#include "core/visibility.hpp"
+#include "geometry/angles.hpp"
+
+namespace cohesion {
+namespace {
+
+using core::HypotCut;
+using core::kVisibilityEpsilon;
+using core::NormMaxFilter;
+using core::VisibilityBall;
+using geom::Vec2;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+bool literal_visible(Vec2 d, double r, bool open_ball) {
+  const double h = d.norm();
+  return open_ball ? (h < r) : (h <= r + kVisibilityEpsilon);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Every HypotCut comparison and both VisibilityBall kinds against hypot.
+void expect_cut_matches(Vec2 d, double t) {
+  const HypotCut cut(t);
+  const double h = d.norm();
+  EXPECT_EQ(cut.less(d), h < t) << d << " t=" << t;
+  EXPECT_EQ(cut.less_equal(d), h <= t) << d << " t=" << t;
+  EXPECT_EQ(cut.greater(d), h > t) << d << " t=" << t;
+  for (const bool open_ball : {false, true}) {
+    EXPECT_EQ(VisibilityBall(t, open_ball).contains(d), literal_visible(d, t, open_ball))
+        << d << " r=" << t << " open=" << open_ball;
+  }
+}
+
+/// 0x1.6666666666666p-538 = 0.7 * 2^-537: its square, 0.49 * 2^-1074,
+/// rounds to 0, so d² of (c, c) is 0 while hypot is 0.99 * 2^-537.
+constexpr double kUnderflowingSquare = 0x1.6666666666666p-538;
+
+/// The special values the adversarial sets combine.
+const std::vector<double>& special_coordinates() {
+  static const std::vector<double> values = {
+      0.0,   -0.0,  5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, 1e-170, 1e-160,
+      kUnderflowingSquare, 1e-12, 0.5, 1.0, -1.0, 1.3e154, -1.3e154, 1e154, 1e200,
+      kInf,  -kInf, kNaN};
+  return values;
+}
+
+/// Includes thresholds whose squares are subnormal (0.9 * 2^-537) and the
+/// edges of the band's validity range.
+const std::vector<double>& special_radii() {
+  static const std::vector<double> values = {
+      0.0,  -1.0, 1e-300, 1e-12, 1.0,   1e150, 1e200, kInf, kNaN, 1e-135, 3e135, 0.5,
+      -1e-13, 0x1.ccccccccccccdp-538, 0x1p-450, 0x1p450, std::nextafter(0x1p-450, 0.0),
+      std::nextafter(0x1p450, kInf)};
+  return values;
+}
+
+TEST(VisibilityPredicate, MatchesHypotOnAMillionRandomPairs) {
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  // Every fourth pair spans the whole exponent range, underflowing and
+  // overflowing squares included.
+  std::uniform_int_distribution<int> exponent(-40, 40);
+  std::uniform_int_distribution<int> wide_exponent(-600, 560);
+  std::uniform_int_distribution<int> ulps(-6, 6);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double scale = std::ldexp(1.0, i % 4 == 3 ? wide_exponent(rng) : exponent(rng));
+    const Vec2 p{unit(rng) * scale, unit(rng) * scale};
+    const Vec2 q{unit(rng) * scale, unit(rng) * scale};
+    const Vec2 d = p - q;
+    // Half of the radii sit within a few ulps of the distance itself, so the
+    // hypot fallback inside the band is exercised as often as the fast path.
+    double r = std::abs(unit(rng)) * 2.0 * scale;
+    if (i % 2 == 0) {
+      r = d.norm();
+      for (int k = ulps(rng); k != 0; k += k > 0 ? -1 : 1) {
+        r = std::nextafter(r, k > 0 ? kInf : -kInf);
+      }
+    }
+    for (const bool open_ball : {false, true}) {
+      ASSERT_EQ(VisibilityBall(r, open_ball).contains(d), literal_visible(d, r, open_ball))
+          << "pair " << i << " d=" << d << " r=" << r << " open=" << open_ball;
+    }
+  }
+}
+
+TEST(VisibilityPredicate, DistancesWithinFourUlpsOfTheThreshold) {
+  for (const double t : {1.0 + kVisibilityEpsilon, 1.0, 0.75, 3e-7, 1e-120, 1e120, 7.5,
+                         0x1.ccccccccccccdp-538, 0x1p-530, 0x1p-451, 0x1p500}) {
+    for (const double theta : {0.0, 0.3, 0.7853981633974483, 1.2, 1.5707963267948966, 2.5}) {
+      const Vec2 exact{t * std::cos(theta), t * std::sin(theta)};
+      for (int kx = -4; kx <= 4; ++kx) {
+        for (int ky = -4; ky <= 4; ++ky) {
+          Vec2 d = exact;
+          for (int k = 0; k < std::abs(kx); ++k) d.x = std::nextafter(d.x, kx > 0 ? kInf : -kInf);
+          for (int k = 0; k < std::abs(ky); ++k) d.y = std::nextafter(d.y, ky > 0 ? kInf : -kInf);
+          expect_cut_matches(d, t);
+          expect_cut_matches(-d, t);
+        }
+      }
+      // Thresholds k ulps around the exact hypot of a fixed vector.
+      double up = exact.norm(), down = up;
+      for (int k = 0; k <= 4; ++k) {
+        expect_cut_matches(exact, up);
+        expect_cut_matches(exact, down);
+        up = std::nextafter(up, kInf);
+        down = std::nextafter(down, -kInf);
+      }
+    }
+  }
+}
+
+TEST(VisibilityPredicate, DegenerateRadiiAndNonFiniteCoordinates) {
+  const std::vector<double>& c = special_coordinates();
+  for (const double r : special_radii()) {
+    for (const double x : c) {
+      for (const double y : c) expect_cut_matches({x, y}, r);
+    }
+  }
+  // Differences of special positions, as the engine forms them.
+  for (const double r : {1.0, kInf, 0.0}) {
+    for (const double a : c) {
+      for (const double b : c) {
+        expect_cut_matches(Vec2{a, 1.0} - Vec2{b, -0.5}, r);
+        expect_cut_matches(Vec2{a, b} - Vec2{b, a}, r);
+      }
+    }
+  }
+}
+
+TEST(NormMaxFilter, RunningMaxEqualsTheFullHypotMax) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> size(0, 40);
+  std::uniform_int_distribution<std::size_t> pick(0, special_coordinates().size() - 1);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<Vec2> vs(size(rng));
+    // Odd trials reach underflowing and overflowing squares.
+    const int exponent = trial % 2 == 0 ? trial % 61 - 30 : trial % 117 * 10 - 580;
+    const double scale = std::ldexp(1.0, exponent);
+    for (Vec2& v : vs) v = {unit(rng) * scale, unit(rng) * scale};
+    if (!vs.empty() && trial % 3 == 0) {
+      // Ties and near-ties of the max, in any order.
+      const Vec2 top = vs[0];
+      vs.push_back({top.y, top.x});
+      vs.push_back({-top.x, top.y});
+      vs.push_back({std::nextafter(top.x, kInf), top.y});
+    }
+    if (trial % 5 == 0) vs.push_back({special_coordinates()[pick(rng)],
+                                      special_coordinates()[pick(rng)]});
+    std::shuffle(vs.begin(), vs.end(), rng);
+
+    double literal = 0.0;
+    for (const Vec2 v : vs) literal = std::max(literal, v.norm());
+    double filtered = 0.0;
+    NormMaxFilter filter;
+    for (const Vec2 v : vs) {
+      if (filter.admits(v)) filtered = std::max(filtered, v.norm());
+    }
+    ASSERT_TRUE(same_bits(filtered, literal)) << "trial " << trial;
+    core::Snapshot snapshot;
+    for (const Vec2 v : vs) snapshot.neighbours.push_back({v});
+    ASSERT_TRUE(same_bits(snapshot.furthest_distance(), literal)) << "trial " << trial;
+  }
+  // A subnormal d² may round up (0.6 -> 1 times 2^-1074) and a later one
+  // down to 0 (two squares of 0.49 each) while its hypot is the larger:
+  // such a d² must never set the cut.
+  const Vec2 rounded_up{std::sqrt(0.6) * 0x1p-537, 0.0};
+  const Vec2 rounded_down{kUnderflowingSquare, kUnderflowingSquare};
+  NormMaxFilter filter;
+  EXPECT_TRUE(filter.admits(rounded_up));
+  EXPECT_TRUE(filter.admits(rounded_down));
+  EXPECT_GT(rounded_down.norm(), rounded_up.norm());
+}
+
+// --- KknpsAlgorithm::compute against its hypot-per-neighbour predecessor ---
+
+geom::AngularGap two_buffer_largest_angular_gap(const std::vector<double>& directions) {
+  const std::size_t n = directions.size();
+  if (n == 1) return geom::AngularGap{geom::kTwoPi, 0, 0};
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<double> norm(n);
+  for (std::size_t i = 0; i < n; ++i) norm[i] = geom::normalize_angle(directions[i]);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (norm[a] != norm[b]) return norm[a] < norm[b];
+    return a < b;
+  });
+  geom::AngularGap best;
+  best.gap = -1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cur = order[i];
+    const std::size_t nxt = order[(i + 1) % n];
+    double gap = norm[nxt] - norm[cur];
+    if (i + 1 == n) gap += geom::kTwoPi;
+    if (gap > best.gap) {
+      best.gap = gap;
+      best.before = cur;
+      best.after = nxt;
+    }
+  }
+  return best;
+}
+
+Vec2 hypot_kknps(const algo::KknpsAlgorithm::Params& p, const core::Snapshot& snapshot) {
+  if (snapshot.empty()) return {0.0, 0.0};
+  double v_y = 0.0;
+  for (const auto& o : snapshot.neighbours) v_y = std::max(v_y, o.position.norm());
+  v_y /= (1.0 + p.distance_delta);
+  if (v_y <= 0.0) return {0.0, 0.0};
+  std::vector<double> directions;
+  for (const auto& o : snapshot.neighbours) {
+    if (o.position.norm() > v_y / 2.0) directions.push_back(o.position.angle());
+  }
+  if (directions.empty()) return {0.0, 0.0};
+  const geom::AngularGap gap = two_buffer_largest_angular_gap(directions);
+  if (gap.gap <= geom::kPi + p.halfplane_tolerance) return {0.0, 0.0};
+  const double r = v_y / (p.radius_divisor * static_cast<double>(p.k));
+  return geom::midpoint(geom::unit(directions[gap.after]) * r,
+                        geom::unit(directions[gap.before]) * r);
+}
+
+void expect_kknps_matches(const algo::KknpsAlgorithm& algo, const core::Snapshot& s,
+                          int trial) {
+  const Vec2 got = algo.compute(s);
+  const Vec2 want = hypot_kknps(algo.params(), s);
+  ASSERT_TRUE(same_bits(got.x, want.x) && same_bits(got.y, want.y))
+      << "trial " << trial << ": " << got << " vs " << want;
+}
+
+TEST(KknpsBand, ComputeMatchesTheHypotLoopsIncludingNonFinitePositions) {
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> size(1, 24);
+  std::uniform_int_distribution<std::size_t> pick(0, special_coordinates().size() - 1);
+  std::vector<algo::KknpsAlgorithm> algos;
+  for (const double delta : {0.0, 0.02, 0.3}) {
+    for (const std::size_t k : {1u, 3u}) algos.emplace_back(algo::KknpsAlgorithm::Params{k, delta});
+  }
+  for (int trial = 0; trial < 30000; ++trial) {
+    core::Snapshot s;
+    const double scale = std::ldexp(1.0, static_cast<int>(trial % 41) - 20);
+    for (int i = size(rng); i > 0; --i) {
+      s.neighbours.push_back({{unit(rng) * scale, unit(rng) * scale}, false});
+    }
+    const Vec2 far = s.neighbours[0].position;
+    switch (trial % 6) {
+      case 0:  // a neighbour exactly at V_Y / 2 (delta = 0), and one an ulp off
+        s.neighbours.push_back({far * 0.5, false});
+        s.neighbours.push_back({{std::nextafter(far.x * 0.5, kInf), far.y * 0.5}, false});
+        break;
+      case 1:  // tied furthest neighbours in different directions
+        s.neighbours.push_back({{-far.x, -far.y}, false});
+        s.neighbours.push_back({{far.y, -far.x}, false});
+        break;
+      case 2:  // a non-finite or extreme neighbour
+        s.neighbours.push_back(
+            {{special_coordinates()[pick(rng)], special_coordinates()[pick(rng)]}, false});
+        break;
+      case 3:  // a single distant direction plus collinear followers
+        s.neighbours = {{far, false}, {far * 0.25, false}, {far * 0.75, false}};
+        break;
+      default:
+        break;
+    }
+    std::shuffle(s.neighbours.begin(), s.neighbours.end(), rng);
+    for (const auto& algo : algos) expect_kknps_matches(algo, s, trial);
+  }
+  // Every pair of special coordinates as a lone or accompanied neighbour.
+  int trial = -1;
+  for (const double x : special_coordinates()) {
+    for (const double y : special_coordinates()) {
+      core::Snapshot lone;
+      lone.neighbours = {{{x, y}, false}};
+      core::Snapshot crowd;
+      crowd.neighbours = {{{x, y}, false}, {{1.0, 0.0}, false}, {{-0.4, 0.3}, false},
+                          {{y, x}, false}};
+      for (const auto& algo : algos) {
+        expect_kknps_matches(algo, lone, trial);
+        expect_kknps_matches(algo, crowd, trial);
+      }
+      --trial;
+    }
+  }
+}
+
+TEST(KknpsBand, LargestAngularGapKeepsTheTwoBufferOrderForTiesAndNaN) {
+  std::mt19937_64 rng(3);
+  std::uniform_int_distribution<int> size(1, 30);
+  std::uniform_int_distribution<int> slot(0, 11);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<double> dirs(size(rng));
+    // Coarse angles force ties (also across the 0 / 2*pi seam); some NaN.
+    for (double& d : dirs) {
+      const int s = slot(rng);
+      d = s == 11 ? kNaN : (s - 5) * geom::kPi / 4.0;
+    }
+    const geom::AngularGap got = geom::largest_angular_gap(dirs);
+    const geom::AngularGap want = two_buffer_largest_angular_gap(dirs);
+    ASSERT_TRUE(same_bits(got.gap, want.gap)) << "trial " << trial;
+    ASSERT_EQ(got.before, want.before) << "trial " << trial;
+    ASSERT_EQ(got.after, want.after) << "trial " << trial;
+  }
+}
+
+// --- VisiblePairs::worst_stretch against the hypot-per-pair loop ---
+
+TEST(StretchBand, WorstStretchMatchesTheHypotLoop) {
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<std::size_t> pick(0, special_coordinates().size() - 1);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 2 + trial % 90;
+    const double v = trial % 7 == 0 ? special_radii()[trial / 7 % special_radii().size()] : 1.0;
+    const double side = 0.5 * std::sqrt(static_cast<double>(n));
+    std::vector<Vec2> initial(n);
+    for (Vec2& p : initial) p = {unit(rng) * side, unit(rng) * side};
+    std::vector<Vec2> later = initial;
+    const double spread = std::ldexp(1.0, trial % 9 - 6);
+    for (Vec2& p : later) p += Vec2{unit(rng) * spread, unit(rng) * spread};
+    if (trial % 4 == 0) later[trial % n] = {special_coordinates()[pick(rng)],
+                                            special_coordinates()[pick(rng)]};
+    if (trial % 5 == 0) later[(trial + 1) % n] = later[(trial + 2) % n];
+
+    const core::VisiblePairs pairs(initial, v);
+    double literal = 0.0;
+    for (core::RobotId a = 0; a < pairs.robot_count(); ++a) {
+      for (const std::uint32_t b : pairs.partners(a)) {
+        literal = std::max(literal, later[a].distance_to(later[b]) / v);
+      }
+    }
+    ASSERT_TRUE(same_bits(pairs.worst_stretch(later), literal)) << "trial " << trial;
+  }
+}
+
+TEST(StretchBand, NonPositiveRadiusKeepsTheHypotLoopsResult) {
+  // V <= 0 keeps only near-coincident initial pairs; their later ratios are
+  // <= 0, NaN or +inf, and the skipped ones must not change the max.
+  std::mt19937_64 rng(9);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<std::size_t> pick(0, special_coordinates().size() - 1);
+  for (int trial = 0; trial < 400; ++trial) {
+    const double v = std::array{0.0, -0.0, -1e-13, -1.0}[trial % 4];
+    const std::size_t n = 2 + trial % 30;
+    std::vector<Vec2> initial(n);
+    for (std::size_t i = 0; i < n; ++i) initial[i] = {static_cast<double>(i % 3), 0.0};
+    std::vector<Vec2> later = initial;
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((i + trial) % 3 != 0) later[i] += Vec2{unit(rng), unit(rng)};
+    }
+    if (trial % 5 == 0) later[trial % n] = {special_coordinates()[pick(rng)],
+                                            special_coordinates()[pick(rng)]};
+
+    const core::VisiblePairs pairs(initial, v);
+    double literal = 0.0;
+    for (core::RobotId a = 0; a < pairs.robot_count(); ++a) {
+      for (const std::uint32_t b : pairs.partners(a)) {
+        literal = std::max(literal, later[a].distance_to(later[b]) / v);
+      }
+    }
+    ASSERT_TRUE(same_bits(pairs.worst_stretch(later), literal)) << "trial " << trial;
+  }
+}
+
+}  // namespace
+}  // namespace cohesion
