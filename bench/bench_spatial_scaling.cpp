@@ -139,7 +139,7 @@ BENCHMARK(BM_FSyncBrute)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KAsyncGrid)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_KAsyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
+BENCHMARK(BM_KAsyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KAsyncBrute)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);

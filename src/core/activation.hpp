@@ -1,6 +1,7 @@
 // Activation scheduling records and the committed-move trace entries.
 #pragma once
 
+#include "core/segment.hpp"
 #include "core/types.hpp"
 #include "geometry/vec2.hpp"
 
@@ -34,6 +35,11 @@ struct ActivationRecord {
 
   [[nodiscard]] Time start() const { return activation.t_look; }
   [[nodiscard]] Time end() const { return activation.t_move_end; }
+  /// The committed move, whose Segment::at gives this robot's position at
+  /// every time from t_look until its next activation's Look.
+  [[nodiscard]] Segment segment() const {
+    return {from, realized, activation.t_move_start, activation.t_move_end};
+  }
 };
 
 }  // namespace cohesion::core

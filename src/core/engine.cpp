@@ -50,8 +50,6 @@ Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler&
   if (config_.snapshot_path == SnapshotPath::kIncremental) {
     kin_.set_track_dirty(true);
     inc_grid_.reset(max_radius, trace_.initial_configuration());
-    positions_now_.resize(trace_.robot_count());
-    pos_epoch_.assign(trace_.robot_count(), 0);
   }
 }
 
@@ -94,57 +92,35 @@ void Engine::snapshot_via_grid(RobotId robot, Time t, const LocalFrame& frame, S
   }
 }
 
-Vec2 Engine::cached_position(RobotId robot) {
-  // All segment starts are <= the incremental query time (see
-  // snapshot_via_incremental), so the kinematic cache alone is exact here.
-  if (pos_epoch_[robot] != epoch_) {
-    positions_now_[robot] = kin_.position_at(robot, pos_time_);
-    pos_epoch_[robot] = epoch_;
-  }
-  return positions_now_[robot];
-}
-
 void Engine::snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& frame,
                                       Snapshot& snap) {
-  // Re-bucket exactly the robots whose segments changed since the last
+  // Re-file exactly the robots whose segments changed since the last
   // snapshot — between consecutive Look times that is the just-moved robot,
-  // not all n. Their cached positions may describe the replaced segment.
-  for (const RobotId r : kin_.dirty()) {
-    inc_grid_.update(r, kin_.segment_from(r), kin_.segment_realized(r), kin_.segment_end(r));
-    pos_epoch_[r] = 0;
-  }
+  // not all n.
+  for (const RobotId r : kin_.dirty()) inc_grid_.update(r, kin_.segment(r));
   kin_.clear_dirty();
 
   if (t < inc_time_) {
     // The scheduler's 1e-12 look-ordering slack can place this Look before
-    // the previous one, where positions live on segments the buckets no
-    // longer cover (and collapsed robots may still be mid-move). Serve the
-    // query through the reference scan; the grid state remains consistent
-    // for the next forward query.
+    // the previous one, where positions live on segments the index no
+    // longer holds (and collapsed robots may still be mid-move). Serve the
+    // query through the reference scan; the index remains consistent for
+    // the next forward query.
     snapshot_via_scan(robot, t, frame, snap);
     return;
   }
   inc_grid_.advance_to(t);
   inc_time_ = t;
-  if (pos_time_ != t) {
-    pos_time_ = t;
-    ++epoch_;
-    if (epoch_ == 0) {  // wrapped: stamps are ambiguous, reset them all
-      std::fill(pos_epoch_.begin(), pos_epoch_.end(), 0);
-      epoch_ = 1;
-    }
-  }
 
-  const Vec2 self = cached_position(robot);
+  // Every segment start is <= t (see above), so the kinematic state alone
+  // is exact here, and the index evaluates the same segments.
+  const Vec2 self = kin_.position_at(robot, t);
   const double v = config_.visibility.radius_of(robot);
-  const VisibilityBall ball(v, config_.visibility.open_ball);
-  inc_grid_.candidates_near(self, v, neighbor_ids_);
-  snap.neighbours.reserve(neighbor_ids_.size());
-  for (const std::size_t other : neighbor_ids_) {
-    if (other == robot) continue;
-    const Vec2 rel = cached_position(other) - self;
-    if (!ball.contains(rel)) continue;
-    snap.neighbours.push_back({frame.perceive(rel, rng_), false});
+  inc_grid_.visible_near(self, v, VisibilityBall(v, config_.visibility.open_ball), t, visible_);
+  snap.neighbours.reserve(visible_.size());
+  for (const VisibleRobot& other : visible_) {
+    if (other.id == robot) continue;
+    snap.neighbours.push_back({frame.perceive(other.offset, rng_), false});
   }
 }
 
@@ -166,15 +142,18 @@ void Engine::resolve_multiplicity(Snapshot& snap) {
   auto& nb = snap.neighbours;
   if (!config_.visibility.multiplicity_detection) {
     // Co-located robots are perceived as a single robot (paper footnote 4):
-    // collapse perceived positions closer than a resolution threshold.
-    std::vector<ObservedRobot> collapsed;
-    for (const auto& o : nb) {
-      const bool dup = std::any_of(collapsed.begin(), collapsed.end(), [&](const ObservedRobot& c) {
-        return geom::almost_equal(c.position, o.position, kColocationEps);
+    // collapse perceived positions closer than a resolution threshold. In
+    // place and greedy: a neighbour is kept unless it is close to one kept
+    // before it, so the first of a co-located group wins and order holds.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      const Vec2 p = nb[i].position;
+      const bool dup = std::any_of(nb.begin(), nb.begin() + kept, [&](const ObservedRobot& c) {
+        return geom::almost_equal(c.position, p, kColocationEps);
       });
-      if (!dup) collapsed.push_back(o);
+      if (!dup) nb[kept++] = nb[i];
     }
-    nb = std::move(collapsed);
+    nb.resize(kept);
     return;
   }
   // Flag every robot that shares its perceived position with another.

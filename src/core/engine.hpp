@@ -28,7 +28,9 @@
 //    time unchanged, except a zero-duration move — which drops the cached
 //    grid (see Engine::step);
 //  * asynchronous schedulers give every Look its own time, so an
-//    IncrementalGrid re-buckets only the robots whose segment changed.
+//    IncrementalGrid keeps each robot's current segment in the cells it
+//    overlaps, re-files only the robots whose segment changed, and
+//    evaluates positions at the Look time inside its cell scan.
 //
 // run::instantiate derives the path from the scheduler key; it is not a
 // spec field. The brute-force scan over the Trace is the third value, kept
@@ -164,8 +166,8 @@ class Engine final : public SimulationView {
   /// kinematic cache, grid rebuilt per distinct look time).
   void snapshot_via_grid(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
   /// Visible-neighbor enumeration via the incrementally-maintained grid:
-  /// candidate cells from IncrementalGrid, exact positions through the
-  /// kinematic cache, no per-Look-time rebuild.
+  /// IncrementalGrid evaluates and filters the segments filed in the cells
+  /// near the robot at the Look time, no per-Look-time rebuild.
   void snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
   /// Reference visible-neighbor enumeration: full scan over Trace positions.
   void snapshot_via_scan(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
@@ -173,9 +175,6 @@ class Engine final : public SimulationView {
   void resolve_multiplicity(Snapshot& snap);
   /// Ensure positions_now_/grid_ describe time `t`.
   void refresh_grid(Time t);
-  /// positions_now_[robot] at the incremental path's current query time,
-  /// computed on first use per (robot, time) and invalidated on commit.
-  [[nodiscard]] geom::Vec2 cached_position(RobotId robot);
   /// Position from history for a query the kinematic cache's current
   /// segment cannot answer (t before the segment's Look): the Trace when
   /// recording, else the retained previous segment.
@@ -195,19 +194,19 @@ class Engine final : public SimulationView {
   TraceSink* sink_ = nullptr;
   PerceptionHook perception_hook_;
 
-  SpatialGrid grid_;
-  std::vector<geom::Vec2> positions_now_;   // all positions at grid_time_
-  std::vector<std::size_t> neighbor_ids_;   // query scratch
   std::vector<std::uint32_t> mult_order_;   // multiplicity sort scratch
+
+  // Rebuild path (SnapshotPath::kRebuild): every position at grid_time_.
+  SpatialGrid grid_;
+  std::vector<geom::Vec2> positions_now_;
+  std::vector<std::size_t> neighbor_ids_;   // query scratch
   Time grid_time_ = 0.0;
   bool grid_valid_ = false;
 
-  // Incremental path (SnapshotPath::kIncremental): persistent buckets,
-  // per-robot position stamps instead of wholesale refreshes.
+  // Incremental path (SnapshotPath::kIncremental): segments filed per
+  // commit, positions evaluated inside the index's cell scan.
   IncrementalGrid inc_grid_;
-  std::vector<std::uint64_t> pos_epoch_;  // positions_now_[r] valid iff == epoch_
-  std::uint64_t epoch_ = 1;               // bumped whenever pos_time_ changes
-  Time pos_time_ = 0.0;                   // time positions_now_ entries describe
+  std::vector<VisibleRobot> visible_;      // query scratch
   Time inc_time_ = 0.0;                   // last incremental query time
 };
 

@@ -39,6 +39,8 @@ LocalFrame LocalFrame::sample(const ErrorModel& model, std::mt19937_64& rng) {
   if (model.random_rotation) {
     std::uniform_real_distribution<double> ang(0.0, geom::kTwoPi);
     f.rotation_ = ang(rng);
+    f.cos_ = std::cos(f.rotation_);
+    f.sin_ = std::sin(f.rotation_);
   }
   if (model.allow_reflection) {
     f.reflect_ = (rng() & 1u) != 0;
@@ -56,7 +58,8 @@ LocalFrame LocalFrame::identity() { return LocalFrame{}; }
 Vec2 LocalFrame::perceive(Vec2 true_offset, std::mt19937_64& rng) const {
   Vec2 v = true_offset;
   if (reflect_) v.y = -v.y;
-  v = v.rotated(rotation_);
+  // Vec2::rotated(rotation_)'s arithmetic, with the frame's cos and sin.
+  v = {cos_ * v.x - sin_ * v.y, sin_ * v.x + cos_ * v.y};
   const double d = v.norm();
   if (d == 0.0) return v;
   double theta = v.angle();

@@ -76,6 +76,8 @@ class LocalFrame {
 
  private:
   double rotation_ = 0.0;
+  double cos_ = 1.0;  ///< std::cos(rotation_), computed once per frame
+  double sin_ = 0.0;  ///< std::sin(rotation_)
   bool reflect_ = false;
   SymmetricDistortion distortion_;
   double distance_delta_ = 0.0;

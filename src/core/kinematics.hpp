@@ -6,10 +6,10 @@
 // robot's full activation history per query; but because activations commit
 // in non-decreasing Look order, only the most recent segment of each robot
 // can ever matter at or after its own Look time. KinematicState keeps
-// exactly that segment ({from, realized, t_look, t_move_start, t_move_end})
-// per robot, so position_at(robot, t) is O(1) for any t >= segment_start(
-// robot) — and is bit-identical to Trace::position there, because it runs
-// the same interpolation arithmetic on the same committed values. Queries
+// exactly that segment (a TimedSegment) per robot, so position_at(robot, t)
+// is O(1) for any t >= segment_start(robot) — and is bit-identical to
+// Trace::position there, because both evaluate Segment::at on the same
+// committed values. Queries
 // before the current segment's Look (possible only through the scheduler's
 // 1e-12 look-ordering slack) must fall back to the Trace — or, when the
 // engine keeps no Trace (EngineConfig::record_history = false), to the
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/activation.hpp"
+#include "core/segment.hpp"
 #include "core/types.hpp"
 #include "geometry/vec2.hpp"
 
@@ -37,7 +38,9 @@ class KinematicState {
 
   /// Position of `robot` at `t`. Exact (bit-identical to Trace::position)
   /// for t >= segment_start(robot); undefined earlier.
-  [[nodiscard]] geom::Vec2 position_at(RobotId robot, Time t) const;
+  [[nodiscard]] geom::Vec2 position_at(RobotId robot, Time t) const {
+    return segments_[robot].segment.at(t);
+  }
 
   /// Retain each robot's previous segment across commits, making
   /// position_bounded answer one segment further back. Enable before the
@@ -58,15 +61,11 @@ class KinematicState {
     return segments_[robot].t_look;
   }
 
-  /// Endpoints and end time of the robot's current segment: the robot sits
-  /// at `segment_from` before the move, interpolates between the endpoints
-  /// during it, and rests at `segment_realized` from `segment_end` onward.
-  /// These are what an incremental spatial index buckets by.
-  [[nodiscard]] geom::Vec2 segment_from(RobotId robot) const { return segments_[robot].from; }
-  [[nodiscard]] geom::Vec2 segment_realized(RobotId robot) const {
-    return segments_[robot].realized;
+  /// The robot's current segment: what an incremental spatial index
+  /// buckets and evaluates.
+  [[nodiscard]] const Segment& segment(RobotId robot) const {
+    return segments_[robot].segment;
   }
-  [[nodiscard]] Time segment_end(RobotId robot) const { return segments_[robot].t_move_end; }
 
   /// Dirty tracking for incremental index maintenance: when enabled, every
   /// commit() records its robot id so a consumer can re-bucket exactly the
@@ -86,17 +85,8 @@ class KinematicState {
   [[nodiscard]] std::size_t robot_count() const { return segments_.size(); }
 
  private:
-  struct Segment {
-    geom::Vec2 from;
-    geom::Vec2 realized;
-    Time t_look = 0.0;
-    Time t_move_start = 0.0;
-    Time t_move_end = 0.0;
-  };
-  [[nodiscard]] static geom::Vec2 eval(const Segment& s, Time t);
-
-  std::vector<Segment> segments_;
-  std::vector<Segment> previous_;  // keep_previous_ only: segment before current
+  std::vector<TimedSegment> segments_;
+  std::vector<TimedSegment> previous_;  // keep_previous_ only: segment before current
   std::vector<RobotId> dirty_;
   bool track_dirty_ = false;
   bool keep_previous_ = false;

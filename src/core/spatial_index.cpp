@@ -21,6 +21,8 @@ std::size_t next_pow2(std::size_t v) {
   return p;
 }
 
+// Key of the cell with column/row cx/cy, or of every cell whose coordinates
+// agree with them modulo 2^32.
 std::uint64_t pack_cell_key(std::int64_t cx, std::int64_t cy) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
@@ -42,10 +44,10 @@ std::size_t mix_cell_key(std::uint64_t key) {
   return static_cast<std::size_t>(key ^ (key >> 31));
 }
 
-/// Per-axis cap on a segment's bucket span. Committed moves are bounded by
+/// Per-axis cap on a segment's cell span. Committed moves are bounded by
 /// ~the visibility radius (= one cell side) plus motion error, so real
 /// segments span <= 2-3 cells per axis; anything larger goes to the outlier
-/// list rather than flooding the table.
+/// run rather than flooding the table.
 constexpr std::int64_t kMaxSegmentSpan = 8;
 
 }  // namespace
@@ -196,10 +198,23 @@ std::int64_t IncrementalGrid::cell_of(double coord) const {
   return cell_index(coord, inv_cell_);
 }
 
+std::optional<IncrementalGrid::Box> IncrementalGrid::cell_box(geom::Vec2 a,
+                                                             geom::Vec2 b) const {
+  std::int64_t cx0 = cell_of(std::min(a.x, b.x));
+  std::int64_t cx1 = cell_of(std::max(a.x, b.x));
+  std::int64_t cy0 = cell_of(std::min(a.y, b.y));
+  std::int64_t cy1 = cell_of(std::max(a.y, b.y));
+  if (cx1 < cx0) std::swap(cx0, cx1);  // NaN coordinates only
+  if (cy1 < cy0) std::swap(cy0, cy1);
+  if (cx1 - cx0 >= kMaxSegmentSpan || cy1 - cy0 >= kMaxSegmentSpan) return std::nullopt;
+  return Box{static_cast<std::uint32_t>(cx0), static_cast<std::uint32_t>(cy0),
+             static_cast<std::uint8_t>(cx1 - cx0), static_cast<std::uint8_t>(cy1 - cy0)};
+}
+
 std::size_t IncrementalGrid::find_slot(std::uint64_t key) const {
   if (table_key_.empty()) return static_cast<std::size_t>(-1);
   std::size_t i = mix_cell_key(key) & mask_;
-  while (table_used_[i]) {
+  while (table_cell_[i] >= 0) {
     if (table_key_[i] == key) return i;
     i = (i + 1) & mask_;
   }
@@ -210,32 +225,34 @@ void IncrementalGrid::grow_table(std::size_t min_slots) {
   const std::size_t want = next_pow2(std::max<std::size_t>(16, min_slots));
   if (want <= table_key_.size()) return;
   const std::vector<std::uint64_t> old_key = std::move(table_key_);
-  const std::vector<std::int32_t> old_head = std::move(table_head_);
-  const std::vector<bool> old_used = std::move(table_used_);
+  const std::vector<std::int32_t> old_cell = std::move(table_cell_);
   table_key_.assign(want, 0);
-  table_head_.assign(want, -1);
-  table_used_.assign(want, false);
+  table_cell_.assign(want, -1);
   mask_ = want - 1;
   for (std::size_t s = 0; s < old_key.size(); ++s) {
-    if (!old_used[s]) continue;
+    if (old_cell[s] < 0) continue;
     std::size_t i = mix_cell_key(old_key[s]) & mask_;
-    while (table_used_[i]) i = (i + 1) & mask_;  // keys are unique
-    table_used_[i] = true;
+    while (table_cell_[i] >= 0) i = (i + 1) & mask_;  // keys are unique
     table_key_[i] = old_key[s];
-    table_head_[i] = old_head[s];
+    table_cell_[i] = old_cell[s];
   }
 }
 
 std::size_t IncrementalGrid::find_or_insert_slot(std::uint64_t key) {
   if ((live_cells_ + 1) * 2 > table_key_.size()) grow_table(table_key_.size() * 2);
   std::size_t i = mix_cell_key(key) & mask_;
-  while (table_used_[i]) {
+  while (table_cell_[i] >= 0) {
     if (table_key_[i] == key) return i;
     i = (i + 1) & mask_;
   }
-  table_used_[i] = true;
   table_key_[i] = key;
-  table_head_[i] = -1;
+  if (free_cells_.empty()) {
+    table_cell_[i] = static_cast<std::int32_t>(cells_.size());
+    cells_.emplace_back();
+  } else {
+    table_cell_[i] = free_cells_.back();
+    free_cells_.pop_back();
+  }
   ++live_cells_;
   return i;
 }
@@ -243,136 +260,127 @@ std::size_t IncrementalGrid::find_or_insert_slot(std::uint64_t key) {
 void IncrementalGrid::erase_slot(std::size_t slot) {
   // Backward-shift deletion (linear probing has no tombstones): pull every
   // displaced successor back over the hole so probe chains stay unbroken.
-  table_used_[slot] = false;
+  table_cell_[slot] = -1;
   --live_cells_;
   std::size_t hole = slot;
   std::size_t j = slot;
   while (true) {
     j = (j + 1) & mask_;
-    if (!table_used_[j]) break;
+    if (table_cell_[j] < 0) break;
     const std::size_t home = mix_cell_key(table_key_[j]) & mask_;
     // Move j into the hole iff the hole lies on j's probe path (between its
     // home slot and j, cyclically).
     if (((hole - home) & mask_) < ((j - home) & mask_)) {
-      table_used_[hole] = true;
       table_key_[hole] = table_key_[j];
-      table_head_[hole] = table_head_[j];
-      table_used_[j] = false;
+      table_cell_[hole] = table_cell_[j];
+      table_cell_[j] = -1;
       hole = j;
     }
   }
 }
 
-void IncrementalGrid::link(RobotId robot, std::uint64_t key) {
+void IncrementalGrid::join(std::uint64_t key, const Entry& e) {
   const std::size_t slot = find_or_insert_slot(key);
-  std::int32_t node;
-  if (!free_nodes_.empty()) {
-    node = free_nodes_.back();
-    free_nodes_.pop_back();
-  } else {
-    node = static_cast<std::int32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  Node& nd = nodes_[node];
-  nd.key = key;
-  nd.robot = static_cast<std::int32_t>(robot);
-  nd.prev = -1;
-  nd.next = table_head_[slot];
-  if (nd.next >= 0) nodes_[nd.next].prev = node;
-  table_head_[slot] = node;
-  robot_nodes_[robot].push_back(node);
+  cells_[static_cast<std::size_t>(table_cell_[slot])].push_back(e);
 }
 
-void IncrementalGrid::unlink(std::int32_t node) {
-  const Node nd = nodes_[node];
-  if (nd.next >= 0) nodes_[nd.next].prev = nd.prev;
-  if (nd.prev >= 0) {
-    nodes_[nd.prev].next = nd.next;
-  } else {
-    const std::size_t slot = find_slot(nd.key);
-    table_head_[slot] = nd.next;
-    if (nd.next < 0) erase_slot(slot);
-  }
-  free_nodes_.push_back(node);
+void IncrementalGrid::drop_outlier(RobotId robot) {
+  const std::int32_t at = place_[robot].outlier;
+  outliers_[at] = outliers_.back();
+  place_[outliers_[at].robot].outlier = at;
+  outliers_.pop_back();
+  place_[robot].outlier = -1;
 }
 
-void IncrementalGrid::clear_robot(RobotId robot) {
-  for (const std::int32_t node : robot_nodes_[robot]) unlink(node);
-  robot_nodes_[robot].clear();
-}
-
-void IncrementalGrid::set_outlier(RobotId robot, bool on) {
-  const bool is = outlier_slot_[robot] >= 0;
-  if (on == is) return;
-  if (on) {
-    outlier_slot_[robot] = static_cast<std::int32_t>(outliers_.size());
-    outliers_.push_back(static_cast<std::uint32_t>(robot));
+void IncrementalGrid::refile(const Entry& e, const std::optional<Box>& to) {
+  Place& p = place_[e.robot];
+  const bool was_outlier = p.outlier >= 0;
+  if (was_outlier) {
+    if (!to) {
+      outliers_[p.outlier] = e;
+      return;
+    }
+    drop_outlier(e.robot);
   } else {
-    const std::int32_t at = outlier_slot_[robot];
-    outliers_[at] = outliers_.back();
-    outlier_slot_[outliers_.back()] = at;
-    outliers_.pop_back();
-    outlier_slot_[robot] = -1;
+    for (std::uint32_t dx = 0; dx <= p.box.w; ++dx) {
+      for (std::uint32_t dy = 0; dy <= p.box.h; ++dy) {
+        const std::uint32_t x = p.box.x0 + dx, y = p.box.y0 + dy;
+        const std::size_t slot = find_slot(pack_cell_key(x, y));
+        const auto cell_id = static_cast<std::size_t>(table_cell_[slot]);
+        std::vector<Entry>& cell = cells_[cell_id];
+        const auto it = std::find_if(cell.begin(), cell.end(),
+                                     [&](const Entry& m) { return m.robot == e.robot; });
+        if (to && to->contains(x, y)) {
+          *it = e;
+          continue;
+        }
+        *it = cell.back();
+        cell.pop_back();
+        if (cell.empty()) {
+          free_cells_.push_back(static_cast<std::int32_t>(cell_id));
+          erase_slot(slot);
+        }
+      }
+    }
   }
+  if (!to) {
+    p.outlier = static_cast<std::int32_t>(outliers_.size());
+    outliers_.push_back(e);
+    return;
+  }
+  for (std::uint32_t dx = 0; dx <= to->w; ++dx) {
+    for (std::uint32_t dy = 0; dy <= to->h; ++dy) {
+      const std::uint32_t x = to->x0 + dx, y = to->y0 + dy;
+      if (was_outlier || !p.box.contains(x, y)) join(pack_cell_key(x, y), e);
+    }
+  }
+  p.box = *to;
 }
 
 void IncrementalGrid::reset(double cell_size, const std::vector<geom::Vec2>& initial) {
   cell_ = (std::isfinite(cell_size) && cell_size > 0.0) ? cell_size : 1.0;
   inv_cell_ = 1.0 / cell_;
   const std::size_t n = initial.size();
-  nodes_.clear();
-  free_nodes_.clear();
-  robot_nodes_.assign(n, {});
   table_key_.clear();
-  table_head_.clear();
-  table_used_.clear();
+  table_cell_.clear();
   mask_ = 0;
   live_cells_ = 0;
   grow_table(next_pow2(std::max<std::size_t>(16, n * 2)));
+  cells_.clear();
+  free_cells_.clear();
+  place_.assign(n, {});
   settle_queue_ = {};
-  generation_.assign(n, 0);
-  settle_pos_ = initial;
   outliers_.clear();
-  outlier_slot_.assign(n, -1);
   for (RobotId r = 0; r < n; ++r) {
-    link(r, pack_cell_key(cell_of(initial[r].x), cell_of(initial[r].y)));
+    const Box box = *cell_box(initial[r], initial[r]);  // one cell: never nullopt
+    place_[r].box = box;
+    join(pack_cell_key(box.x0, box.y0),
+         Entry{Segment{initial[r], initial[r]}, static_cast<std::uint32_t>(r)});
   }
 }
 
-void IncrementalGrid::update(RobotId robot, geom::Vec2 from, geom::Vec2 to, Time settle_time) {
-  ++generation_[robot];
-  settle_pos_[robot] = to;
-  std::int64_t cx0 = cell_of(std::min(from.x, to.x));
-  std::int64_t cx1 = cell_of(std::max(from.x, to.x));
-  std::int64_t cy0 = cell_of(std::min(from.y, to.y));
-  std::int64_t cy1 = cell_of(std::max(from.y, to.y));
-  if (cx1 < cx0) std::swap(cx0, cx1);  // NaN coordinates only
-  if (cy1 < cy0) std::swap(cy0, cy1);
-  const std::uint64_t tag =
-      (static_cast<std::uint64_t>(robot) << 32) | generation_[robot];
-  if (cx1 - cx0 >= kMaxSegmentSpan || cy1 - cy0 >= kMaxSegmentSpan) {
-    // A teleport-length segment: park the robot on the always-scanned
-    // outlier list until it settles, rather than bucketing a huge box.
-    clear_robot(robot);
-    set_outlier(robot, true);
-    settle_queue_.emplace(settle_time, tag);
-    return;
+void IncrementalGrid::update(RobotId robot, const Segment& segment) {
+  const std::uint32_t generation = ++place_[robot].generation;
+  const std::optional<Box> box = cell_box(segment.from, segment.realized);
+  refile(Entry{segment, static_cast<std::uint32_t>(robot)}, box);
+  // A teleport-length segment waits in the outlier run, and a multi-cell
+  // one in its whole box, until it settles.
+  if (!box || box->w > 0 || box->h > 0) {
+    settle_queue_.emplace(segment.t_move_end,
+                          (static_cast<std::uint64_t>(robot) << 32) | generation);
   }
-  set_outlier(robot, false);
-  clear_robot(robot);
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      link(robot, pack_cell_key(cx, cy));
-    }
-  }
-  if (cx1 > cx0 || cy1 > cy0) settle_queue_.emplace(settle_time, tag);
 }
 
 void IncrementalGrid::collapse(RobotId robot) {
-  set_outlier(robot, false);
-  clear_robot(robot);
-  const geom::Vec2 p = settle_pos_[robot];
-  link(robot, pack_cell_key(cell_of(p.x), cell_of(p.y)));
+  const Place& p = place_[robot];
+  const Entry e = [&] {
+    if (p.outlier >= 0) return outliers_[static_cast<std::size_t>(p.outlier)];
+    const std::size_t slot = find_slot(pack_cell_key(p.box.x0, p.box.y0));
+    const std::vector<Entry>& cell = cells_[static_cast<std::size_t>(table_cell_[slot])];
+    return *std::find_if(cell.begin(), cell.end(),
+                         [&](const Entry& m) { return m.robot == robot; });
+  }();
+  refile(e, cell_box(e.segment.realized, e.segment.realized));
 }
 
 void IncrementalGrid::advance_to(Time t) {
@@ -380,15 +388,21 @@ void IncrementalGrid::advance_to(Time t) {
     const std::uint64_t tag = settle_queue_.top().second;
     settle_queue_.pop();
     const RobotId robot = static_cast<RobotId>(tag >> 32);
-    if (static_cast<std::uint32_t>(tag) == generation_[robot]) collapse(robot);
+    if (static_cast<std::uint32_t>(tag) == place_[robot].generation) collapse(robot);
   }
 }
 
-void IncrementalGrid::candidates_near(geom::Vec2 q, double r,
-                                      std::vector<std::size_t>& out) const {
+void IncrementalGrid::visible_near(geom::Vec2 q, double r, const VisibilityBall& ball, Time t,
+                                   std::vector<VisibleRobot>& out) const {
   out.clear();
-  const std::size_t n = robot_nodes_.size();
+  const std::size_t n = place_.size();
   if (n == 0) return;
+  const auto scan = [&](const std::vector<Entry>& entries) {
+    for (const Entry& e : entries) {
+      const geom::Vec2 offset = e.segment.at(t) - q;
+      if (ball.contains(offset)) out.push_back({e.robot, offset});
+    }
+  };
 
   // Bounding square of the closed ball (a superset of the open ball too) —
   // identical cell arithmetic to SpatialGrid::neighbors_within.
@@ -398,28 +412,29 @@ void IncrementalGrid::candidates_near(geom::Vec2 q, double r,
   const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
   const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
   if (span_x > 64 || span_y > 64 || span_x * span_y > n + 9) {
-    // Query ball covers more cells than there are robots: every robot is a
-    // candidate (trivially a superset; the caller's predicate decides).
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = i;
-    return;
-  }
-
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      const std::size_t slot = find_slot(pack_cell_key(cx, cy));
-      if (slot == static_cast<std::size_t>(-1)) continue;
-      for (std::int32_t i = table_head_[slot]; i >= 0; i = nodes_[i].next) {
-        out.push_back(static_cast<std::size_t>(nodes_[i].robot));
+    // The square covers more cells than there are robots: scan every cell
+    // instead (freed cells are empty).
+    for (const std::vector<Entry>& cell : cells_) scan(cell);
+  } else {
+    for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
+      for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
+        const std::size_t slot = find_slot(pack_cell_key(cx, cy));
+        if (slot != static_cast<std::size_t>(-1)) {
+          scan(cells_[static_cast<std::size_t>(table_cell_[slot])]);
+        }
       }
     }
   }
-  for (const std::uint32_t r_out : outliers_) out.push_back(r_out);
-  // Multi-cell segments (and clamping/key aliasing) can surface a robot
-  // several times; ids must come out ascending and unique so the caller's
-  // RNG-drawing perception loop sees the brute-force order.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  scan(outliers_);
+  // A multi-cell segment (or clamping/key aliasing) can surface a robot
+  // in several cells, with the same offset each time; ids must come out
+  // ascending and unique so the caller's RNG-drawing perception loop sees
+  // the brute-force order.
+  std::sort(out.begin(), out.end(),
+            [](const VisibleRobot& a, const VisibleRobot& b) { return a.id < b.id; });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const VisibleRobot& a, const VisibleRobot& b) { return a.id == b.id; }),
+            out.end());
 }
 
 }  // namespace cohesion::core

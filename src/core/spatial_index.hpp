@@ -25,18 +25,21 @@
 // rebuild amortizes over a whole round of Looks), but async schedulers give
 // every Look a distinct time, turning it into O(n) per activation.
 // IncrementalGrid (below) is the persistently-maintained variant for that
-// regime: robots are bucketed by the cells of their *current trajectory
-// segment* — which covers the robot's exact position at every time the
-// segment is current — so buckets change only on commit (O(1) amortized),
-// never per Look time.
+// regime: each robot's *current trajectory segment* — which covers the
+// robot's exact position at every time the segment is current — is stored
+// inline in the cells its box overlaps, so the filing changes only on
+// commit (O(1) amortized), never per Look time, and a query evaluates
+// positions at its own time inside the cell scan.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <vector>
 
+#include "core/segment.hpp"
 #include "core/types.hpp"
 #include "geometry/vec2.hpp"
 
@@ -197,23 +200,33 @@ class SpatialGrid {
   std::vector<std::int64_t> rank_scratch_;
 };
 
-/// Incrementally-maintained robot→cell index for the async engine hot path.
+/// A robot within the query ball of IncrementalGrid::visible_near, with its
+/// offset from the query point (its exact position minus `q`).
+struct VisibleRobot {
+  RobotId id;
+  geom::Vec2 offset;
+};
+
+/// Incrementally-maintained index of the robots' current trajectory
+/// segments, for the async engine hot path.
 ///
 /// Where SpatialGrid buckets *positions at one instant* and must be rebuilt
-/// whenever the instant changes, IncrementalGrid buckets each robot by the
+/// whenever the instant changes, IncrementalGrid files each robot under the
 /// grid cells overlapped by the bounding box of its current trajectory
 /// segment (from → realized). A robot's position at *every* time its
 /// segment is current — `from` before the move, the lerp during it,
-/// `realized` after — lies inside that box, so the bucket set only has to
+/// `realized` after — lies inside that box, so the filing only has to
 /// change when the segment itself changes: once per commit, O(segment
 /// cells) ≈ O(1), instead of O(n) per distinct Look time.
 ///
-/// The price is that a query returns *candidates*, not neighbors: a cell
-/// can hold robots currently elsewhere along their segment. Callers
-/// evaluate each candidate's exact position (O(1) through KinematicState)
-/// and apply the exact visibility predicate, so results remain bit-identical
-/// to a brute-force scan — the index only ever enlarges the examined set,
-/// exactly like SpatialGrid's clamped and coarsened cells.
+/// Each cell stores its members' segments inline, so a query reads one
+/// contiguous run per cell: it evaluates every member's exact position at
+/// the query time with Segment::at — the function KinematicState and the
+/// Trace evaluate, so positions agree with theirs to the last bit — and
+/// applies the VisibilityBall right there. Members currently elsewhere
+/// along their segment fail the predicate like any far robot; results are
+/// bit-identical to a brute-force scan, exactly like SpatialGrid's clamped
+/// and coarsened cells.
 ///
 /// `advance_to(t)` tightens the index as time moves forward: robots whose
 /// move ended at or before `t` sit exactly at `realized` forever after, so
@@ -224,66 +237,89 @@ class SpatialGrid {
 /// backward queries through the reference scan instead.
 class IncrementalGrid {
  public:
-  /// Rebuild from scratch: robot r bucketed at the (degenerate) segment
-  /// `initial[r] → initial[r]`. Non-positive/non-finite cell sizes fall
-  /// back to 1.0, mirroring SpatialGrid::set_cell_size.
+  /// Rebuild from scratch: robot r rests at `initial[r]`. Non-positive/
+  /// non-finite cell sizes fall back to 1.0, mirroring
+  /// SpatialGrid::set_cell_size.
   void reset(double cell_size, const std::vector<geom::Vec2>& initial);
 
-  /// Replace `robot`'s buckets with the cells of the bounding box of the
-  /// segment `from → to`; from `settle_time` onward the robot sits exactly
-  /// at `to` and advance_to may collapse it to the single end cell.
-  /// Segments spanning implausibly many cells (a teleport much longer than
-  /// the visibility radius) are kept on an always-scanned outlier list
+  /// Replace `robot`'s segment and file it under the cells of the
+  /// segment's box; from `segment.t_move_end` onward the robot sits exactly
+  /// at `segment.realized` and advance_to may collapse it to the single end
+  /// cell. Segments spanning implausibly many cells (a teleport much longer
+  /// than the visibility radius) go to an always-scanned outlier run
   /// instead of flooding the table.
-  void update(RobotId robot, geom::Vec2 from, geom::Vec2 to, Time settle_time);
+  void update(RobotId robot, const Segment& segment);
 
-  /// Collapse every robot whose `settle_time` is <= `t` to its end cell.
-  /// Queries served after this call must be at times >= `t`.
+  /// Collapse every robot whose move ended at or before `t` to its end
+  /// cell. Queries served after this call must be at times >= `t`.
   void advance_to(Time t);
 
-  /// Ids (ascending, unique) of every robot whose bucket cells overlap the
-  /// bounding square of the ball around `q` — a superset of the robots
-  /// whose exact current position lies within distance r of `q`. The caller
-  /// applies the exact visibility predicate. `out` is overwritten.
-  void candidates_near(geom::Vec2 q, double r, std::vector<std::size_t>& out) const;
+  /// Every robot whose exact position at `t` lies in `ball` around `q`,
+  /// ids ascending and unique, with its offset from `q`. `r` is the ball's
+  /// radius (it bounds the cells scanned); `t` must be a time at which
+  /// every robot's last update() segment is current, and no earlier than
+  /// the last advance_to. Includes the robot at `q` itself when it is
+  /// indexed; callers filter self-matches by id. `out` is overwritten.
+  void visible_near(geom::Vec2 q, double r, const VisibilityBall& ball, Time t,
+                    std::vector<VisibleRobot>& out) const;
 
-  [[nodiscard]] std::size_t robot_count() const { return robot_nodes_.size(); }
+  [[nodiscard]] std::size_t robot_count() const { return place_.size(); }
   [[nodiscard]] double cell_size() const { return cell_; }
 
  private:
-  /// One (robot, cell) membership: a node of the cell's doubly-linked list.
-  struct Node {
-    std::uint64_t key = 0;
-    std::int32_t robot = -1;
-    std::int32_t prev = -1;  ///< -1: this node is the chain head
-    std::int32_t next = -1;
+  /// One robot's segment, filed in one cell (or in the outlier run).
+  struct Entry {
+    Segment segment;
+    std::uint32_t robot;
+  };
+  /// Cells x0..x0+w by y0..y0+h, in the 32-bit coordinates packed into
+  /// cell keys (so the ranges wrap like the keys do).
+  struct Box {
+    std::uint32_t x0 = 0;
+    std::uint32_t y0 = 0;
+    std::uint8_t w = 0;
+    std::uint8_t h = 0;
+    [[nodiscard]] bool contains(std::uint32_t x, std::uint32_t y) const {
+      return x - x0 <= std::uint32_t{w} && y - y0 <= std::uint32_t{h};
+    }
+  };
+  /// Where a robot's entries are: the cells of `box`, or outliers_[outlier].
+  struct Place {
+    Box box;
+    std::int32_t outlier = -1;
+    std::uint32_t generation = 0;  ///< bumped per update; tags settle_queue_
   };
 
   [[nodiscard]] std::int64_t cell_of(double coord) const;
+  /// Cells of the bounding box of `a` and `b`, or nullopt when it spans
+  /// kMaxSegmentSpan or more cells on an axis.
+  [[nodiscard]] std::optional<Box> cell_box(geom::Vec2 a, geom::Vec2 b) const;
   [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;  ///< live slot or npos
   std::size_t find_or_insert_slot(std::uint64_t key);
   void erase_slot(std::size_t slot);  ///< backward-shift deletion
   void grow_table(std::size_t min_slots);
-  void link(RobotId robot, std::uint64_t key);
-  void unlink(std::int32_t node);
-  void clear_robot(RobotId robot);
-  void set_outlier(RobotId robot, bool on);
+  /// Re-file `e` under the cells of `to`, or in the outlier run if nullopt:
+  /// overwrite it in the cells both filings share, drop it from the rest.
+  void refile(const Entry& e, const std::optional<Box>& to);
+  void join(std::uint64_t key, const Entry& e);
+  void drop_outlier(RobotId robot);
   void collapse(RobotId robot);
 
   double cell_ = 1.0;
   double inv_cell_ = 1.0;
 
   // Open-addressed cell table (linear probing, backward-shift deletion):
-  // live slots map a cell key to the head node of that cell's member list.
+  // live slots map a cell key to its index in cells_; -1 marks a free slot.
   std::vector<std::uint64_t> table_key_;
-  std::vector<std::int32_t> table_head_;
-  std::vector<bool> table_used_;
+  std::vector<std::int32_t> table_cell_;
   std::size_t mask_ = 0;
   std::size_t live_cells_ = 0;
 
-  std::vector<Node> nodes_;
-  std::vector<std::int32_t> free_nodes_;
-  std::vector<std::vector<std::int32_t>> robot_nodes_;  ///< robot → its nodes
+  // Member entries per cell, in no particular order. A cell that empties
+  // leaves the table; its vector (and capacity) waits in free_cells_.
+  std::vector<std::vector<Entry>> cells_;
+  std::vector<std::int32_t> free_cells_;
+  std::vector<Place> place_;
 
   // Pending collapses: (settle_time, robot | generation). A stale entry
   // (robot re-committed since push) is recognized by its generation and
@@ -292,12 +328,10 @@ class IncrementalGrid {
                       std::vector<std::pair<Time, std::uint64_t>>,
                       std::greater<>>
       settle_queue_;
-  std::vector<std::uint32_t> generation_;
-  std::vector<geom::Vec2> settle_pos_;  ///< end-of-segment position per robot
 
-  // Robots whose segment box exceeded the bucket-span cap: always scanned.
-  std::vector<std::uint32_t> outliers_;
-  std::vector<std::int32_t> outlier_slot_;  ///< index into outliers_, or -1
+  // Entries of robots whose segment box exceeded the span cap: always
+  // scanned.
+  std::vector<Entry> outliers_;
 };
 
 }  // namespace cohesion::core

@@ -15,15 +15,7 @@ Vec2 Trace::position(RobotId robot, Time t) const {
     return time < records_[i].activation.t_look;
   });
   if (it == idx.begin()) return initial_.at(robot);
-  const ActivationRecord& rec = records_[*(it - 1)];
-  const Activation& a = rec.activation;
-  if (t >= a.t_move_end) return rec.realized;
-  if (t >= a.t_move_start) {
-    const Time span = a.t_move_end - a.t_move_start;
-    const double frac = span > 0.0 ? (t - a.t_move_start) / span : 1.0;
-    return geom::lerp(rec.from, rec.realized, frac);
-  }
-  return rec.from;
+  return records_[*(it - 1)].segment().at(t);
 }
 
 std::vector<Vec2> Trace::configuration(Time t) const {

@@ -32,8 +32,7 @@ ConvergenceAccumulator::ConvergenceAccumulator(const std::vector<Vec2>& initial,
       per_robot_activations_(n_, 0),
       track_min_pairwise_(track_min_pairwise) {
   for (std::size_t r = 0; r < n_; ++r) {
-    cur_[r].from = initial[r];
-    cur_[r].realized = initial[r];
+    cur_[r].segment = {initial[r], initial[r]};
   }
   prev_ = cur_;
   initial_diameter_ = geom::set_diameter(initial);
@@ -43,21 +42,9 @@ ConvergenceAccumulator::ConvergenceAccumulator(const std::vector<Vec2>& initial,
   open_sample(0.0);
 }
 
-Vec2 ConvergenceAccumulator::eval(const Segment& s, Time t) {
-  // Identical branches and arithmetic to Trace::position's segment tail —
-  // bit-identity with the batch path rests on this.
-  if (t >= s.t_move_end) return s.realized;
-  if (t >= s.t_move_start) {
-    const Time span = s.t_move_end - s.t_move_start;
-    const double frac = span > 0.0 ? (t - s.t_move_start) / span : 1.0;
-    return geom::lerp(s.from, s.realized, frac);
-  }
-  return s.from;
-}
-
 Vec2 ConvergenceAccumulator::position_at(RobotId robot, Time t) const {
-  if (t >= cur_[robot].t_look) return eval(cur_[robot], t);
-  if (t >= prev_[robot].t_look) return eval(prev_[robot], t);
+  if (t >= cur_[robot].t_look) return cur_[robot].segment.at(t);
+  if (t >= prev_[robot].t_look) return prev_[robot].segment.at(t);
   throw std::logic_error(
       "ConvergenceAccumulator: robot " + std::to_string(robot) +
       " completed two activity cycles within the scheduler's 1e-12 look slack around sample t=" +
@@ -106,16 +93,12 @@ void ConvergenceAccumulator::add(const core::ActivationRecord& rec) {
   while (!pending_.empty() && a.t_look > pending_.front().t + kLookSlack) finalize_front();
 
   prev_[r] = cur_[r];
-  cur_[r].from = rec.from;
-  cur_[r].realized = rec.realized;
-  cur_[r].t_look = a.t_look;
-  cur_[r].t_move_start = a.t_move_start;
-  cur_[r].t_move_end = a.t_move_end;
+  cur_[r] = {rec.segment(), a.t_look};
 
   // This record is now r's latest with t_look <= s.t at every pending
   // sample it reaches — exactly the record Trace::position would pick.
   for (PendingSample& s : pending_) {
-    if (a.t_look <= s.t) s.positions[r] = eval(cur_[r], s.t);
+    if (a.t_look <= s.t) s.positions[r] = cur_[r].segment.at(s.t);
   }
 
   // Round-boundary state machine (mirrors Trace::round_boundaries).
@@ -147,7 +130,7 @@ ConvergenceReport ConvergenceAccumulator::finish() {
   // The batch path appends one sample past the end of all committed motion.
   const Time t_end = end_time_ + 1.0;
   std::vector<Vec2> cfg(n_);
-  for (RobotId r = 0; r < n_; ++r) cfg[r] = eval(cur_[r], t_end);
+  for (RobotId r = 0; r < n_; ++r) cfg[r] = cur_[r].segment.at(t_end);
   const double end_diameter = fold_sample(cfg);
 
   ConvergenceReport rep;

@@ -19,8 +19,8 @@
 // KinematicState::position_bounded). A robot would escape that window only
 // by completing two full activity cycles within the 1e-12 slack; the
 // accumulator rejects that loudly rather than silently diverging from the
-// reference. Every per-sample position runs the identical interpolation
-// arithmetic as Trace::position, so the resulting report is bit-identical
+// reference. Every per-sample position is core::Segment::at, the function
+// Trace::position evaluates too, so the resulting report is bit-identical
 // to a rescan of the materialized trace (the test oracle in
 // tests/metrics/analyze_oracle.hpp).
 //
@@ -83,19 +83,11 @@ class ConvergenceAccumulator {
   [[nodiscard]] double windowed_min_pairwise() const { return windowed_min_pairwise_; }
 
  private:
-  struct Segment {
-    geom::Vec2 from;
-    geom::Vec2 realized;
-    core::Time t_look = 0.0;
-    core::Time t_move_start = 0.0;
-    core::Time t_move_end = 0.0;
-  };
   struct PendingSample {
     core::Time t = 0.0;
     std::vector<geom::Vec2> positions;  // configuration at t so far
   };
 
-  [[nodiscard]] static geom::Vec2 eval(const Segment& s, core::Time t);
   [[nodiscard]] geom::Vec2 position_at(core::RobotId robot, core::Time t) const;
   void open_sample(core::Time t);
   void finalize_front();
@@ -108,8 +100,8 @@ class ConvergenceAccumulator {
 
   // Last two trajectory segments per robot (current + previous), the
   // bounded history every pending sample draws from.
-  std::vector<Segment> cur_;
-  std::vector<Segment> prev_;
+  std::vector<core::TimedSegment> cur_;
+  std::vector<core::TimedSegment> prev_;
 
   // Round-boundary state machine, mirroring Trace::round_boundaries.
   std::vector<bool> done_;

@@ -207,6 +207,38 @@ TEST(Engine, MultiplicityCollapsedWithoutDetection) {
   EXPECT_EQ(engine.trace().records()[0].seen, 1u);
 }
 
+TEST(Engine, MultiplicityCollapseIsGreedyOverAChain) {
+  // A non-transitive co-location chain c ~ b ~ a with c !~ a (gaps of
+  // 0.8e-12 against the 1e-12 resolution), visible in id order c, a, b,
+  // plus one distinct robot. Greedy "first kept wins" keeps c, keeps a
+  // (too far from c), drops b (close to the kept c) and keeps the distinct
+  // robot — in that order, on every snapshot path.
+  const Vec2 c{1.0 + 1.6e-12, 0.0}, a{1.0, 0.0}, b{1.0 + 0.8e-12, 0.0}, far{0.0, 1.0};
+  for (const SnapshotPath path :
+       {SnapshotPath::kIncremental, SnapshotPath::kRebuild, SnapshotPath::kScan}) {
+    const ChaseFirst chase;
+    EngineConfig cfg = exact_config(2.0);
+    cfg.snapshot_path = path;
+    sched::ScriptedScheduler sched({act(0, 0.0, 0.1, 1.0)});
+    Engine engine({{0.0, 0.0}, c, a, b, far}, chase, sched, cfg);
+    std::vector<ObservedRobot> seen;
+    engine.set_perception_hook([&](RobotId, Time, const Snapshot& s) {
+      seen = s.neighbours;
+      return s;
+    });
+    ASSERT_TRUE(engine.step());
+    ASSERT_EQ(seen.size(), 3u);
+    std::mt19937_64 unused(0);  // the identity frame draws nothing
+    for (const auto& [got, at] : {std::pair{seen[0], c}, {seen[1], a}, {seen[2], far}}) {
+      const Vec2 want = LocalFrame::identity().perceive(at, unused);
+      EXPECT_EQ(got.position.x, want.x);
+      EXPECT_EQ(got.position.y, want.y);
+      EXPECT_FALSE(got.multiplicity);
+    }
+    EXPECT_EQ(engine.trace().records()[0].seen, 3u);
+  }
+}
+
 TEST(Engine, MultiplicityReportedWithDetection) {
   const ChaseFirst chase;
   EngineConfig cfg = exact_config(2.0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 
 #include "geometry/angles.hpp"
@@ -116,6 +118,61 @@ TEST(LocalFrame, ReflectionPreservesDistances) {
     const LocalFrame f = LocalFrame::sample(model, rng);
     const Vec2 p{0.6, -0.4};
     EXPECT_NEAR(f.perceive(p, rng).norm(), p.norm(), 1e-12);
+  }
+}
+
+/// LocalFrame::sample and perceive as they read before the frame kept its
+/// rotation's cos and sin: the same draws from the RNG, and the rotation
+/// through Vec2::rotated.
+struct ReferenceFrame {
+  ReferenceFrame(const ErrorModel& model, std::mt19937_64& rng) {
+    if (model.random_rotation) rotation = std::uniform_real_distribution<double>(0.0, kTwoPi)(rng);
+    if (model.allow_reflection) reflect = (rng() & 1u) != 0;
+    if (model.skew_lambda > 0.0) {
+      distortion = SymmetricDistortion(model.skew_lambda,
+                                       std::uniform_real_distribution<double>(0.0, kPi)(rng));
+    }
+    delta = model.distance_delta;
+  }
+  Vec2 perceive(Vec2 v, std::mt19937_64& rng) const {
+    if (reflect) v.y = -v.y;
+    v = v.rotated(rotation);
+    const double d = v.norm();
+    if (d == 0.0) return v;
+    double perceived_d = d;
+    if (delta > 0.0) perceived_d = d * (1.0 + std::uniform_real_distribution<double>(-delta, delta)(rng));
+    return geom::unit(distortion.apply(v.angle())) * perceived_d;
+  }
+  double rotation = 0.0;
+  bool reflect = false;
+  SymmetricDistortion distortion;
+  double delta = 0.0;
+};
+
+TEST(LocalFrame, PerceiveIsBitIdenticalToRotatedFormula) {
+  std::mt19937_64 pick(21);
+  std::uniform_real_distribution<double> u(-3.0, 3.0);
+  for (int trial = 0; trial < 400; ++trial) {
+    ErrorModel model;
+    model.random_rotation = trial % 4 != 3;
+    model.allow_reflection = trial % 3 == 0;
+    model.skew_lambda = trial % 5 == 0 ? 0.0 : 0.45;
+    model.distance_delta = trial % 2 == 0 ? 0.0 : 0.2;
+    const auto seed = static_cast<std::uint64_t>(trial) * 7919 + 3;
+    std::mt19937_64 rng(seed), ref_rng(seed);
+    const LocalFrame frame = LocalFrame::sample(model, rng);
+    const ReferenceFrame ref(model, ref_rng);
+    ASSERT_EQ(frame.rotation(), ref.rotation);
+    ASSERT_EQ(frame.reflected(), ref.reflect);
+    for (int i = 0; i < 16; ++i) {
+      const Vec2 offset = i == 0 ? Vec2{0.0, 0.0} : Vec2{u(pick), u(pick)};
+      const Vec2 got = frame.perceive(offset, rng);
+      const Vec2 want = ref.perceive(offset, ref_rng);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.x), std::bit_cast<std::uint64_t>(want.x))
+          << "trial " << trial << " neighbour " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.y), std::bit_cast<std::uint64_t>(want.y))
+          << "trial " << trial << " neighbour " << i;
+    }
   }
 }
 

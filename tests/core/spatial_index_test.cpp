@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/kinematics.hpp"
@@ -236,20 +239,66 @@ TEST(VisibilityGraph, StretchGridPathMatchesBruteForce) {
   }
 }
 
+/// Brute-force oracle for IncrementalGrid::visible_near: every robot's exact
+/// position at `t` from its current segment, offset from `q`, filtered by
+/// the ball — in id order.
+std::vector<VisibleRobot> brute_visible(const KinematicState& kin, Vec2 q,
+                                        const VisibilityBall& ball, Time t) {
+  std::vector<VisibleRobot> out;
+  for (RobotId i = 0; i < kin.robot_count(); ++i) {
+    const Vec2 offset = kin.position_at(i, t) - q;
+    if (ball.contains(offset)) out.push_back({i, offset});
+  }
+  return out;
+}
+
+/// Ids equal and offsets bitwise equal.
+void expect_same_visible(const std::vector<VisibleRobot>& got,
+                         const std::vector<VisibleRobot>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].offset.x),
+              std::bit_cast<std::uint64_t>(want[i].offset.x))
+        << where << " robot " << want[i].id;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].offset.y),
+              std::bit_cast<std::uint64_t>(want[i].offset.y))
+        << where << " robot " << want[i].id;
+  }
+}
+
+std::vector<std::size_t> ids_of(const std::vector<VisibleRobot>& visible) {
+  std::vector<std::size_t> ids;
+  for (const VisibleRobot& v : visible) ids.push_back(v.id);
+  return ids;
+}
+
+/// Commit `rec` to both the kinematic state and the index, as the engine
+/// does.
+void commit(KinematicState& kin, IncrementalGrid& inc, const ActivationRecord& rec) {
+  kin.commit(rec);
+  inc.update(rec.activation.robot, kin.segment(rec.activation.robot));
+}
+
 TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
   // Drive an IncrementalGrid through random committed segment histories —
   // the exact inputs the engine feeds it — and after every commit compare,
-  // at several non-decreasing query times, the predicate-filtered candidate
-  // set against (a) a SpatialGrid rebuilt from scratch over the exact
-  // positions and (b) the brute-force scan. Histories include zero-duration
-  // moves, degenerate (nil) segments, multi-cell moves and long idle spans
-  // that let settled robots collapse to their end cell.
+  // at several non-decreasing query times, visible_near against (a) the
+  // brute-force exact-eval + VisibilityBall scan, ids and offsets bitwise,
+  // (b) a SpatialGrid rebuilt from scratch over the exact positions and (c)
+  // the hypot predicate. Histories include zero-duration moves, degenerate
+  // (nil) segments, multi-cell moves, teleports and long idle spans that
+  // let settled robots collapse to their end cell; each time also gets a
+  // query whose square spans more than 64 cells (the scan-every-cell
+  // branch).
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
     std::mt19937_64 rng(seed);
     const std::size_t n = 1 + seed % 24;
     const double cell = 0.3 + (seed % 5) * 0.4;
     const double r = 0.1 + 1.2 * ((seed / 5) % 4) / 4.0;
     const bool open_ball = seed % 2 == 0;
+    const VisibilityBall ball(r, open_ball);
+    const VisibilityBall everywhere(100.0, open_ball);
     std::uniform_real_distribution<double> u(-4.0, 4.0);
 
     std::vector<Vec2> initial;
@@ -264,7 +313,8 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
     Time frontier = 0.0;
     std::uniform_real_distribution<double> dur(0.0, 1.0);
     std::uniform_int_distribution<std::size_t> pick(0, n - 1);
-    std::vector<std::size_t> got, want;
+    std::vector<VisibleRobot> got;
+    std::vector<std::size_t> want;
     for (int step = 0; step < 40; ++step) {
       const RobotId rob = pick(rng);
       Activation a;
@@ -274,13 +324,11 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
       a.t_move_end = a.t_move_start + (step % 7 == 0 ? 0.0 : dur(rng));
       a.realized_fraction = 1.0;
       const Vec2 from = kin.position_at(rob, a.t_look);
-      // Mostly short hops; occasionally a multi-cell lurch.
-      const double reach = step % 11 == 0 ? 3.0 : 0.6 * cell;
+      // Mostly short hops; occasionally a multi-cell lurch or a teleport.
+      const double reach = step % 13 == 5 ? 12.0 * cell : step % 11 == 0 ? 3.0 : 0.6 * cell;
       std::uniform_real_distribution<double> hop(-reach, reach);
       const Vec2 realized = from + Vec2{hop(rng), hop(rng)};
-      ActivationRecord rec{a, from, realized, realized, 0};
-      kin.commit(rec);
-      inc.update(rob, from, realized, a.t_move_end);
+      commit(kin, inc, {a, from, realized, realized, 0});
       frontier = a.t_look;
       busy[rob] = a.t_move_end;
 
@@ -292,19 +340,19 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
         std::vector<Vec2> exact(n);
         for (RobotId q = 0; q < n; ++q) exact[q] = kin.position_at(q, t);
         rebuilt.rebuild(exact);
+        const std::string where =
+            "seed " + std::to_string(seed) + " step " + std::to_string(step) + " t " +
+            std::to_string(t);
         for (std::size_t qi = 0; qi < n; ++qi) {
           const Vec2 q = exact[qi];
-          inc.candidates_near(q, r, got);
-          // Predicate-filter the candidates exactly as the engine does.
-          std::erase_if(got, [&](std::size_t i) {
-            const double d = q.distance_to(exact[i]);
-            return open_ball ? !(d < r) : !(d <= r + kVisibilityEpsilon);
-          });
+          inc.visible_near(q, r, ball, t, got);
+          expect_same_visible(got, brute_visible(kin, q, ball, t), where);
           rebuilt.neighbors_within(q, r, open_ball, want);
-          EXPECT_EQ(got, want) << "seed " << seed << " step " << step << " t " << t;
-          EXPECT_EQ(got, brute_neighbors(exact, q, r, open_ball))
-              << "seed " << seed << " step " << step << " t " << t;
+          EXPECT_EQ(ids_of(got), want) << where;
+          EXPECT_EQ(ids_of(got), brute_neighbors(exact, q, r, open_ball)) << where;
         }
+        inc.visible_near(exact[0], 100.0, everywhere, t, got);
+        expect_same_visible(got, brute_visible(kin, exact[0], everywhere, t), where + " wide");
       }
       // The far-future advance settled everyone; continue committing past it
       // only with Look times that respect the non-decreasing contract.
@@ -316,55 +364,82 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
 
 TEST(IncrementalGrid, TeleportSegmentsStayExactViaOutlierList) {
   // A segment spanning far more cells than any real move (bounded by ~the
-  // visibility radius) parks the robot on the always-scanned outlier list;
-  // queries must stay exact while it is in flight and after it settles.
-  const std::vector<Vec2> initial{{0.0, 0.0}, {0.5, 0.0}, {100.0, 100.0}, {-3.0, 2.0}};
+  // visibility radius) parks the robot in the always-scanned outlier run;
+  // queries must stay exact while it is in flight, after it settles, when
+  // a second teleport shares the run, and when a robot leaves the run by
+  // recommitting a short move before its teleport settled.
+  const std::vector<Vec2> initial{{0.0, 0.0}, {0.5, 0.0}, {100.0, 100.0}, {-3.0, 2.0},
+                                  {-80.0, 40.0}};
   IncrementalGrid inc;
   inc.reset(1.0, initial);
   KinematicState kin(initial);
+  const VisibilityBall ball(1.0, false);
 
-  Activation a;
-  a.robot = 2;
-  a.t_look = 1.0;
-  a.t_move_start = 1.0;
-  a.t_move_end = 5.0;
-  a.realized_fraction = 1.0;
-  const Vec2 realized{0.25, 0.1};  // 100-cell teleport toward the cluster
-  kin.commit({a, initial[2], realized, realized, 0});
-  inc.update(2, initial[2], realized, a.t_move_end);
-
-  std::vector<std::size_t> got;
-  for (const Time t : {1.0, 2.5, 5.0, 9.0}) {
+  const auto activation = [](RobotId r, Time look, Time start, Time end) {
+    Activation a;
+    a.robot = r;
+    a.t_look = look;
+    a.t_move_start = start;
+    a.t_move_end = end;
+    a.realized_fraction = 1.0;
+    return a;
+  };
+  const auto check = [&](Time t) {
     inc.advance_to(t);
-    std::vector<Vec2> exact(initial.size());
-    for (RobotId q = 0; q < initial.size(); ++q) exact[q] = kin.position_at(q, t);
+    std::vector<VisibleRobot> got;
     for (RobotId q = 0; q < initial.size(); ++q) {
-      inc.candidates_near(exact[q], 1.0, got);
-      std::erase_if(got, [&](std::size_t i) {
-        return !(exact[q].distance_to(exact[i]) <= 1.0 + kVisibilityEpsilon);
-      });
-      EXPECT_EQ(got, brute_neighbors(exact, exact[q], 1.0, false)) << "t " << t;
+      const Vec2 at = kin.position_at(q, t);
+      inc.visible_near(at, 1.0, ball, t, got);
+      expect_same_visible(got, brute_visible(kin, at, ball, t),
+                          "t " + std::to_string(t) + " q " + std::to_string(q));
     }
-  }
+  };
+  // Robot 2: a 100-cell teleport toward the cluster, settling at t = 5.
+  commit(kin, inc, {activation(2, 1.0, 1.0, 5.0), initial[2], {0.25, 0.1}, {0.25, 0.1}, 0});
+  // Robot 4: another teleport, toward robot 3, settling at t = 8.
+  commit(kin, inc, {activation(4, 1.0, 2.0, 8.0), initial[4], {-3.2, 2.1}, {-3.2, 2.1}, 0});
+  for (const Time t : {1.0, 2.5, 5.0}) check(t);
+  // Robot 4 recommits at t = 6, mid-teleport, with a short hop: it leaves
+  // the outlier run for the cells of the new segment.
+  const Vec2 mid = kin.position_at(4, 6.0);
+  commit(kin, inc, {activation(4, 6.0, 6.0, 7.0), mid, mid + Vec2{0.3, 0.0},
+                    mid + Vec2{0.3, 0.0}, 0});
+  for (const Time t : {6.0, 6.5, 9.0}) check(t);
+  // Robot 2, settled in its end cell, teleports back out.
+  commit(kin, inc, {activation(2, 9.0, 9.0, 12.0), kin.position_at(2, 9.0), {90.0, -90.0},
+                    {90.0, -90.0}, 0});
+  for (const Time t : {9.0, 10.0, 12.0, 20.0}) check(t);
 }
 
 TEST(IncrementalGrid, StaleSettleEntriesAreIgnoredAfterRecommit) {
   // Robot recommits before its previous segment's settle time: the stale
-  // queue entry must not collapse the new segment's buckets.
+  // queue entry must not collapse the new segment's cells.
   const std::vector<Vec2> initial{{0.0, 0.0}, {2.6, 0.0}};
   IncrementalGrid inc;
   inc.reset(1.0, initial);
   // First segment: long slow move rightward, would settle at t = 10.
-  inc.update(0, {0.0, 0.0}, {1.8, 0.0}, 10.0);
-  // Recommit at t = 3 (engine would only do this once the robot is free
-  // again; here we only care about queue staleness): short move near the
-  // second robot, settling at t = 4.
-  inc.update(0, {1.8, 0.0}, {2.2, 0.0}, 4.0);
-  inc.advance_to(10.0);  // pops both entries; only the live one may collapse
-  std::vector<std::size_t> got;
-  // Robot 0 rests at (2.2, 0): visible from robot 1 at distance 0.4.
-  inc.candidates_near({2.6, 0.0}, 1.0, got);
-  EXPECT_EQ(got, (std::vector<std::size_t>{0, 1}));
+  inc.update(0, Segment{{0.0, 0.0}, {1.8, 0.0}, 0.0, 10.0});
+  // Recommit at t = 3 (the engine would only do this once the robot is
+  // free again; here only queue staleness matters): a slow move near the
+  // second robot, from t = 3 to t = 30, across cells 1 and 2.
+  const Segment live{{1.8, 0.0}, {2.2, 0.0}, 3.0, 30.0};
+  inc.update(0, live);
+  // Pops the stale t = 10 entry, which must leave both cells of the live
+  // segment filed: at t = 10 the robot is still in cell 1 (x ~ 1.90),
+  // which a query from x = 0.95 reaches and cell 2 does not.
+  inc.advance_to(10.0);
+  const VisibilityBall ball(1.0, false);
+  std::vector<VisibleRobot> got;
+  inc.visible_near({0.95, 0.0}, 1.0, ball, 10.0, got);
+  ASSERT_EQ(ids_of(got), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(got[0].offset, live.at(10.0) - Vec2(0.95, 0.0));
+  // From t = 30 robot 0 rests at (2.2, 0): visible from robot 1 at
+  // distance 0.4.
+  inc.advance_to(30.0);
+  inc.visible_near({2.6, 0.0}, 1.0, ball, 30.0, got);
+  ASSERT_EQ(ids_of(got), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(got[0].offset, Vec2(2.2, 0.0) - Vec2(2.6, 0.0));
+  EXPECT_EQ(got[1].offset, Vec2(0.0, 0.0));
 }
 
 TEST(KinematicState, MatchesTraceReplayBitExactly) {
@@ -445,9 +520,9 @@ TEST(KinematicState, DirtyTrackingRecordsCommitsSinceLastDrain) {
   EXPECT_TRUE(kin.dirty().empty());
   commit(1, 5.0);
   EXPECT_EQ(kin.dirty(), (std::vector<RobotId>{1}));
-  EXPECT_EQ(kin.segment_end(1), 5.5);
-  EXPECT_EQ(kin.segment_from(1), initial[1]);
-  EXPECT_EQ(kin.segment_realized(1), initial[1]);
+  EXPECT_EQ(kin.segment(1).t_move_end, 5.5);
+  EXPECT_EQ(kin.segment(1).from, initial[1]);
+  EXPECT_EQ(kin.segment(1).realized, initial[1]);
 }
 
 }  // namespace
