@@ -17,6 +17,12 @@
 //      distant neighbours (Fig. 15). With a single distant neighbour this
 //      degenerates to the centre of its safe region.
 //
+// Step 4 is decided first by a certificate on the perceived Cartesian
+// positions (stay_certified): octant occupancy, then three positions that
+// surround Y with a margin, by cross products. Angles and the sort of step 5 are computed only when the
+// certificate cannot decide; a certified stay is exactly the answer of the
+// angle test (kknps.cpp has the error argument).
+//
 // The planned move never exceeds V_Y/8 and lies in every distant
 // neighbour's scaled safe region, which is what the visibility-preservation
 // theorems (Thm. 3/4) require.
@@ -24,6 +30,8 @@
 // Error tolerance (§6.1): if relative distance error is bounded by delta,
 // the perceived V_Y is divided by (1 + delta) so it never overestimates V.
 #pragma once
+
+#include <vector>
 
 #include "core/algorithm.hpp"
 
@@ -51,6 +59,14 @@ class KknpsAlgorithm final : public core::Algorithm {
   [[nodiscard]] std::string_view name() const override { return "KKNPS"; }
 
   [[nodiscard]] const Params& params() const { return params_; }
+
+  /// True only if step 4's test stays put for the distant positions `far`
+  /// (the largest gap between their atan2 directions is <= pi + tolerance),
+  /// decided without angles. False means "undecided", never "moves". Only
+  /// tolerances >= kMinCertifiedTolerance are certified.
+  [[nodiscard]] static bool stay_certified(const std::vector<geom::Vec2>& far,
+                                           double tolerance);
+  static constexpr double kMinCertifiedTolerance = -1e-10;
 
   /// The scaled safe-region radius for a given working range V_Y.
   [[nodiscard]] double safe_radius(double v_y) const {

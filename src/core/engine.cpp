@@ -181,8 +181,8 @@ void Engine::resolve_multiplicity(Snapshot& snap) {
   }
 }
 
-Snapshot Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame) {
-  Snapshot snap;
+void Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap) {
+  snap.neighbours.clear();
   switch (config_.snapshot_path) {
     case SnapshotPath::kIncremental:
       snapshot_via_incremental(robot, t, frame, snap);
@@ -195,7 +195,6 @@ Snapshot Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame)
       break;
   }
   resolve_multiplicity(snap);
-  return snap;
 }
 
 bool Engine::step() {
@@ -220,7 +219,8 @@ bool Engine::step() {
   const LocalFrame frame = config_.error.exact() && !config_.error.random_rotation
                                ? LocalFrame::identity()
                                : LocalFrame::sample(config_.error, rng_);
-  Snapshot snap = honest_snapshot(a.robot, a.t_look, frame);
+  Snapshot& snap = snap_;
+  honest_snapshot(a.robot, a.t_look, frame, snap);
   if (perception_hook_) snap = perception_hook_(a.robot, a.t_look, snap);
 
   // --- Compute ---

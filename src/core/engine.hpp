@@ -161,7 +161,8 @@ class Engine final : public SimulationView {
   void set_perception_hook(PerceptionHook hook) { perception_hook_ = std::move(hook); }
 
  private:
-  [[nodiscard]] Snapshot honest_snapshot(RobotId robot, Time t, const LocalFrame& frame);
+  /// Replace `snap` with the honest snapshot of `robot` at time t.
+  void honest_snapshot(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
   /// Visible-neighbor enumeration via grid cells (positions through the
   /// kinematic cache, grid rebuilt per distinct look time).
   void snapshot_via_grid(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
@@ -195,6 +196,7 @@ class Engine final : public SimulationView {
   PerceptionHook perception_hook_;
 
   std::vector<std::uint32_t> mult_order_;   // multiplicity sort scratch
+  Snapshot snap_;                           // the current Look's snapshot
 
   // Rebuild path (SnapshotPath::kRebuild): every position at grid_time_.
   SpatialGrid grid_;

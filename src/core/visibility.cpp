@@ -93,25 +93,19 @@ VisiblePairs::VisiblePairs(const std::vector<geom::Vec2>& positions, double v) :
                                 " exceeds UINT32_MAX (partner ids are 32-bit)");
   }
   offsets_.assign(n + 1, 0);
-  // Two passes over the same grid queries — count, then fill — so the id
-  // array is allocated once at its exact size. neighbors_within applies the
-  // closed-ball predicate itself (its cell-size fallback keeps it exact for
-  // any V), and returns ascending ids, so each robot's partners are sorted.
+  // One pass of grid queries: each robot appends its later partners and
+  // closes its offset run. neighbors_within applies the closed-ball
+  // predicate itself (its cell-size fallback keeps it exact for any V), and
+  // returns ascending ids, so each robot's partners are sorted.
   SpatialGrid grid(v);
   grid.rebuild(positions);
   std::vector<std::size_t> nbrs;
   for (std::size_t a = 0; a < n; ++a) {
     grid.neighbors_within(positions[a], v, /*open_ball=*/false, nbrs);
-    const auto later = std::ranges::upper_bound(nbrs, a);
-    offsets_[a + 1] = offsets_[a] + static_cast<std::size_t>(nbrs.end() - later);
-  }
-  partners_.resize(offsets_[n]);
-  for (std::size_t a = 0; a < n; ++a) {
-    grid.neighbors_within(positions[a], v, /*open_ball=*/false, nbrs);
-    std::uint32_t* out = partners_.data() + offsets_[a];
     for (auto it = std::ranges::upper_bound(nbrs, a); it != nbrs.end(); ++it) {
-      *out++ = static_cast<std::uint32_t>(*it);
+      partners_.push_back(static_cast<std::uint32_t>(*it));
     }
+    offsets_[a + 1] = partners_.size();
   }
 }
 

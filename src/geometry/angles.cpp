@@ -13,7 +13,9 @@ std::ostream& operator<<(std::ostream& os, Vec2 v) {
 }
 
 double normalize_angle(double theta) {
-  double t = std::fmod(theta, kTwoPi);
+  // fmod is exact and returns theta itself when |theta| < 2*pi, so the
+  // call is needed only outside that range (and for NaN, which fails it).
+  double t = std::abs(theta) < kTwoPi ? theta : std::fmod(theta, kTwoPi);
   if (t < 0.0) t += kTwoPi;
   return t;
 }
@@ -51,7 +53,9 @@ AngularGap largest_angular_gap(const std::vector<double>& directions) {
 
   // (normalized angle, input index), ordered by angle and then index. A NaN
   // angle compares unordered, so pair's (three-way) < is false both ways.
-  std::vector<std::pair<double, std::size_t>> sorted(n);
+  // Per-thread scratch: engines on different threads call this concurrently.
+  thread_local std::vector<std::pair<double, std::size_t>> sorted;
+  sorted.resize(n);
   for (std::size_t i = 0; i < n; ++i) sorted[i] = {normalize_angle(directions[i]), i};
   std::sort(sorted.begin(), sorted.end());
 

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
+#include <vector>
 
 #include "geometry/angles.hpp"
 #include "geometry/safe_region.hpp"
+#include "halfplane_cases.hpp"
 
 namespace cohesion::algo {
 namespace {
@@ -208,6 +213,122 @@ TEST_P(KknpsProperty, RotationEquivariance) {
 INSTANTIATE_TEST_SUITE_P(Sweep, KknpsProperty,
                          ::testing::Values(KParam{1}, KParam{2}, KParam{4}, KParam{8}),
                          [](const auto& info) { return "k" + std::to_string(info.param.k); });
+
+// --- The stay-put certificate (KknpsAlgorithm::stay_certified) ---
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Step 4's literal test quantity: the computed largest gap of the atan2
+/// directions.
+double literal_gap(const std::vector<Vec2>& far) {
+  std::vector<double> directions;
+  for (const Vec2 p : far) directions.push_back(p.angle());
+  return geom::largest_angular_gap(directions).gap;
+}
+
+/// Smallest angular distance between two of the directions.
+double min_separation(const std::vector<Vec2>& far) {
+  double best = kInf;
+  for (std::size_t i = 0; i < far.size(); ++i) {
+    for (std::size_t j = i + 1; j < far.size(); ++j) {
+      best = std::min(best, geom::angle_distance(far[i].angle(), far[j].angle()));
+    }
+  }
+  return best;
+}
+
+/// `count` positions at angles spread over [from, from + span] (both ends
+/// included), with norms in (0.55, 1] times a power-of-two scale.
+std::vector<Vec2> arc_set(std::mt19937_64& rng, double from, double span, int count) {
+  std::uniform_real_distribution<double> frac(0.0, 1.0), norm(0.55, 1.0);
+  const double scale = std::ldexp(1.0, static_cast<int>(rng() % 61) - 30);
+  std::vector<Vec2> out;
+  for (int i = 0; i < count; ++i) {
+    const double t = i == 0 ? 0.0 : i == 1 ? 1.0 : frac(rng);
+    out.push_back(unit(from + t * span) * (norm(rng) * scale));
+  }
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
+TEST(KknpsCertificate, SurroundedSetsAreCertified) {
+  // Every set whose largest gap is clearly below pi (and whose directions
+  // are not near-duplicates) is certified: by octants when the gap is
+  // small, by clockwise witnesses otherwise. A gap above 3pi/4 leaves two
+  // adjacent octants empty, so those sets need the witnesses.
+  std::mt19937_64 rng(2026);
+  std::uniform_real_distribution<double> angle(-kPi, kPi), gap(0.8 * kPi, kPi - 1e-5);
+  int surrounded = 0, by_witnesses = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const bool half_plane = trial % 2 == 1;
+    const std::vector<Vec2> far = half_plane
+                                      ? arc_set(rng, angle(rng), geom::kTwoPi - gap(rng), 2 + trial % 15)
+                                      : arc_set(rng, angle(rng), geom::kTwoPi - 0.3, 16);
+    if (literal_gap(far) > kPi - 2e-6 || min_separation(far) < 2e-6) continue;
+    for (const double tolerance : {0.0, 1e-12, -1e-10, 0.5}) {
+      ASSERT_TRUE(KknpsAlgorithm::stay_certified(far, tolerance))
+          << "trial " << trial << " gap " << literal_gap(far);
+    }
+    ++(half_plane ? by_witnesses : surrounded);
+  }
+  EXPECT_GT(surrounded, 9000);
+  EXPECT_GT(by_witnesses, 9000);
+}
+
+TEST(KknpsCertificate, GapsOfPiOrMoreAreNeverCertified) {
+  using halfplane_cases::near_pi_gap;
+  for (int turns = 0; turns < 4; ++turns) {
+    for (const bool mirror : {false, true}) {
+      // Gaps pi - 1e-12, pi, pi + 1e-12, pi + 1e-9 and pi + 1e-6; with
+      // eps = 2e-12 octants 0 and 1 are the only empty ones.
+      for (const double eps : {2e-12, 0.0, -2e-12, -2e-9, -2e-6}) {
+        for (const double tolerance : {0.0, 1e-12, -1e-11, -1e-10, 0.5, kInf}) {
+          EXPECT_FALSE(KknpsAlgorithm::stay_certified(near_pi_gap(eps, turns, mirror), tolerance))
+              << eps << " turns " << turns << " mirror " << mirror;
+        }
+      }
+      EXPECT_TRUE(KknpsAlgorithm::stay_certified(near_pi_gap(2e-6, turns, mirror), 0.0));
+    }
+  }
+  // Random half-planes with gaps pi + delta, |delta| from 1e-16 to 1e-5: a
+  // certified set's computed gap is clearly below pi, and none with
+  // delta >= -1e-9 is certified.
+  std::mt19937_64 rng(77);
+  std::uniform_real_distribution<double> angle(-kPi, kPi), exponent(-16.0, -5.0);
+  int certified = 0;
+  for (int trial = 0; trial < 40000; ++trial) {
+    const double delta = (trial % 2 == 0 ? 1.0 : -1.0) * std::pow(10.0, exponent(rng));
+    const std::vector<Vec2> far = arc_set(rng, angle(rng), kPi - delta, 2 + trial % 12);
+    if (!KknpsAlgorithm::stay_certified(far, 0.0)) continue;
+    ++certified;
+    ASSERT_LT(literal_gap(far), kPi - 5e-10) << "trial " << trial << " delta " << delta;
+    ASSERT_LT(delta, -9e-10) << "trial " << trial;
+  }
+  EXPECT_GT(certified, 1000);
+}
+
+TEST(KknpsCertificate, NonFiniteOrExtremePositionsAndLowTolerancesDisableIt) {
+  std::vector<Vec2> surrounded;
+  for (int i = 0; i < 8; ++i) surrounded.push_back(unit(i * kPi / 4.0 + 0.1));
+  for (const double tolerance : {0.0, -1e-10, 1e-12, 0.5, kInf}) {
+    EXPECT_TRUE(KknpsAlgorithm::stay_certified(surrounded, tolerance)) << tolerance;
+  }
+  for (const double tolerance : {-1.000001e-10, -1e-9, -0.5, -kInf, kNaN}) {
+    EXPECT_FALSE(KknpsAlgorithm::stay_certified(surrounded, tolerance)) << tolerance;
+  }
+  for (const Vec2 extra : {Vec2{kNaN, 1.0}, Vec2{1.0, kNaN}, Vec2{kNaN, kNaN}, Vec2{kInf, 0.0},
+                           Vec2{0.0, -kInf}, Vec2{0.0, 0.0}, Vec2{-0.0, -0.0}, Vec2{1e-300, 0.0},
+                           Vec2{1e300, 1.0}}) {
+    for (const bool front : {true, false}) {
+      std::vector<Vec2> far = surrounded;
+      far.insert(front ? far.begin() : far.end(), extra);
+      EXPECT_FALSE(KknpsAlgorithm::stay_certified(far, 0.0)) << extra << " front " << front;
+    }
+  }
+  EXPECT_FALSE(KknpsAlgorithm::stay_certified({}, 0.0));
+  EXPECT_FALSE(KknpsAlgorithm::stay_certified({{1.0, 0.0}}, 0.0));
+}
 
 }  // namespace
 }  // namespace cohesion::algo

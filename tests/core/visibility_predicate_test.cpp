@@ -3,10 +3,11 @@
 // VisibilityBall on 10^6 seeded random pairs and on adversarial sets
 // (distances a few ulps from the threshold, degenerate radii, signed
 // zeros, subnormal, huge, infinite and NaN coordinates); NormMaxFilter and
-// Snapshot::furthest_distance as a running max; KknpsAlgorithm::compute,
-// VisiblePairs::worst_stretch and geom::largest_angular_gap against
-// verbatim copies of their hypot-per-candidate (and two-buffer)
-// predecessors. Every comparison is bitwise.
+// Snapshot::furthest_distance as a running max; KknpsAlgorithm::compute
+// (its stay-put certificate included), VisiblePairs::worst_stretch and
+// geom::largest_angular_gap against verbatim copies of their
+// hypot-per-candidate, atan2-per-neighbour (and two-buffer) predecessors.
+// Every comparison is bitwise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <random>
 #include <vector>
 
+#include "../algo/halfplane_cases.hpp"
 #include "algo/kknps.hpp"
 #include "core/snapshot.hpp"
 #include "core/spatial_index.hpp"
@@ -309,6 +311,87 @@ TEST(KknpsBand, ComputeMatchesTheHypotLoopsIncludingNonFinitePositions) {
       --trial;
     }
   }
+}
+
+TEST(KknpsBand, StayCertificateMatchesTheAngleTestOnBoundaryCases) {
+  // Sets where an octant, cross-product or tolerance slip would change the
+  // stay-put answer: directions on octant boundaries and axes (signed
+  // zeros), exact antipodes, gaps within 1e-12 or 1e-9 of pi, and infinite
+  // coordinates, under tolerances on both sides of the certificate's floor.
+  std::vector<algo::KknpsAlgorithm> algos;
+  for (const double tolerance : {0.0, 1e-12, -1e-11, -1e-9, -0.5, 0.5}) {
+    for (const double delta : {0.0, 0.02}) {
+      algos.emplace_back(algo::KknpsAlgorithm::Params{
+          .k = 1, .distance_delta = delta, .halfplane_tolerance = tolerance});
+    }
+  }
+  const std::vector<Vec2> boundary = {
+      {1.0, 0.0},  {1.0, -0.0},  {-1.0, 0.0}, {-1.0, -0.0}, {0.0, 1.0},  {-0.0, 1.0},
+      {0.0, -1.0}, {-0.0, -1.0}, {1.0, 1.0},  {-1.0, 1.0},  {-1.0, -1.0}, {1.0, -1.0}};
+  std::mt19937_64 rng(20261020);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0), angle(-geom::kPi, geom::kPi);
+  std::uniform_int_distribution<std::size_t> pick_boundary(0, boundary.size() - 1);
+  int certified = 0, decided_by_angles = 0;
+  for (int trial = 0; trial < 24000; ++trial) {
+    std::vector<Vec2> ps;
+    switch (trial % 4) {
+      case 0:  // octant-boundary and axis directions
+        for (int i = 1 + trial % 12; i > 0; --i) ps.push_back(boundary[pick_boundary(rng)]);
+        break;
+      case 1: {  // exactly antipodal pairs, some with company on one side
+        const Vec2 p{unit(rng), unit(rng)};
+        ps = {p, -p};
+        if (trial % 3 != 0) ps.push_back(p.perp() * 0.9);
+        if (trial % 3 == 2) ps.push_back(-p.perp() * 0.8);
+        break;
+      }
+      case 2: {  // gaps pi - 1e-12, pi - 1e-9, pi, pi + 1e-12, pi + 1e-9
+        const double eps = std::array{2e-12, 2e-9, 0.0, -2e-12, -2e-9}[trial / 4 % 5];
+        ps = halfplane_cases::near_pi_gap(eps, trial / 20 % 4, trial / 80 % 2 == 1);
+        // More company on the occupied side, strictly inside it.
+        const Vec2 far_side = ps[2] + ps[5];
+        for (int i = trial / 160 % 4; i > 0; --i) {
+          ps.push_back(geom::unit(far_side.angle() + 0.3 * unit(rng)) * 1.2);
+        }
+        break;
+      }
+      default: {  // random half-planes with gaps pi +- 1e-9 or 1e-12
+        const double from = angle(rng);
+        const double gap = geom::kPi + std::array{1e-9, -1e-9, 1e-12, -1e-12}[trial / 4 % 4];
+        ps = {geom::unit(from), geom::unit(from + geom::kTwoPi - gap)};
+        for (int i = trial / 16 % 5; i > 0; --i) {
+          ps.push_back(geom::unit(from + (0.5 + 0.5 * unit(rng)) * (geom::kTwoPi - gap)));
+        }
+        break;
+      }
+    }
+    const double scale = std::ldexp(1.0, static_cast<int>(trial % 21) - 10);
+    for (Vec2& p : ps) p *= scale;
+    if (trial % 7 == 0) {  // an infinite coordinate
+      ps[trial % ps.size()].x = trial % 2 == 0 ? kInf : -kInf;
+    }
+    core::Snapshot s;
+    for (const Vec2 p : ps) s.neighbours.push_back({p, false});
+    s.neighbours.push_back({ps[0] * 0.25, false});  // a close neighbour
+    std::shuffle(s.neighbours.begin(), s.neighbours.end(), rng);
+    for (const auto& algo : algos) {
+      expect_kknps_matches(algo, s, trial);
+      // The distant positions compute() hands the certificate.
+      const double v_y = s.furthest_distance() / (1.0 + algo.params().distance_delta);
+      std::vector<Vec2> far;
+      for (const auto& o : s.neighbours) {
+        if (o.position.norm() > v_y / 2.0) far.push_back(o.position);
+      }
+      if (algo::KknpsAlgorithm::stay_certified(far, algo.params().halfplane_tolerance)) {
+        ++certified;
+      } else {
+        ++decided_by_angles;
+      }
+    }
+  }
+  // Both paths carry real weight in this battery.
+  EXPECT_GT(certified, 20000);
+  EXPECT_GT(decided_by_angles, 20000);
 }
 
 TEST(KknpsBand, LargestAngularGapKeepsTheTwoBufferOrderForTiesAndNaN) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <vector>
 
 namespace cohesion::geom {
 namespace {
@@ -12,6 +17,38 @@ TEST(Angles, NormalizeIntoRange) {
   EXPECT_NEAR(normalize_angle(kTwoPi + 0.5), 0.5, 1e-12);
   EXPECT_NEAR(normalize_angle(-0.5), kTwoPi - 0.5, 1e-12);
   EXPECT_NEAR(normalize_angle(-5.0 * kTwoPi + 1.0), 1.0, 1e-12);
+}
+
+TEST(Angles, NormalizeAngleMatchesFmodBitwise) {
+  // normalize_angle skips fmod for |theta| < 2*pi; the full formula must
+  // give the same bits everywhere, signed zeros and non-finite values too.
+  const auto via_fmod = [](double theta) {
+    double t = std::fmod(theta, kTwoPi);
+    if (t < 0.0) t += kTwoPi;
+    return t;
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> thetas = {0.0, -0.0, kInf, -kInf, std::numeric_limits<double>::quiet_NaN(),
+                                kPi, -kPi, 4.0 * kPi, -4.0 * kPi, 1e300, -1e300,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min()};
+  for (const double edge : {kTwoPi, -kTwoPi, 0.0, -0.0}) {
+    thetas.push_back(edge);
+    double up = edge, down = edge;
+    for (int i = 0; i < 3; ++i) {
+      up = std::nextafter(up, kInf);
+      down = std::nextafter(down, -kInf);
+      thetas.push_back(up);
+      thetas.push_back(down);
+    }
+  }
+  std::mt19937_64 rng(21);
+  std::uniform_real_distribution<double> u(-4.0 * kPi, 4.0 * kPi);
+  for (int i = 0; i < 100000; ++i) thetas.push_back(u(rng));
+  for (const double theta : thetas) {
+    ASSERT_EQ(bits(normalize_angle(theta)), bits(via_fmod(theta))) << theta;
+  }
 }
 
 TEST(Angles, NormalizeSigned) {
