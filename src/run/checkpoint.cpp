@@ -70,6 +70,10 @@ void write_all(int fd, const std::string& path, std::string_view data) {
   }
 }
 
+void fsync_or_throw(int fd, const std::string& path) {
+  if (::fsync(fd) != 0) fail_io(path, std::string("fsync failed (") + std::strerror(errno) + ")");
+}
+
 }  // namespace
 
 std::string runs_fingerprint(const std::vector<ExpandedRun>& runs, const EarlyStop& early_stop) {
@@ -101,8 +105,13 @@ std::unique_ptr<CheckpointJournal> CheckpointJournal::create(const std::string& 
                                                              std::size_t total_runs,
                                                              std::size_t fsync_every) {
   const int fd = open_or_throw(path, O_WRONLY | O_CREAT | O_TRUNC | O_APPEND);
-  write_all(fd, path, header_line(fingerprint, total_runs));
-  ::fsync(fd);
+  try {
+    write_all(fd, path, header_line(fingerprint, total_runs));
+    fsync_or_throw(fd, path);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
   return std::unique_ptr<CheckpointJournal>(new CheckpointJournal(fd, path, fsync_every));
 }
 
@@ -192,7 +201,7 @@ void CheckpointJournal::append(const RunOutcome& outcome) noexcept {
     if (!error_.empty()) return;  // journal already dead; keep the batch alive
     write_all(fd_, path_, line);
     if (fsync_every_ > 0 && ++since_sync_ >= fsync_every_) {
-      ::fsync(fd_);
+      fsync_or_throw(fd_, path_);
       since_sync_ = 0;
     }
   } catch (const std::exception& e) {

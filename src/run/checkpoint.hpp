@@ -51,6 +51,7 @@ class CheckpointJournal {
   };
 
   /// Start a fresh journal at `path` (an existing file is overwritten).
+  /// Throws TransientError when the header cannot be written or fsync'd.
   static std::unique_ptr<CheckpointJournal> create(const std::string& path,
                                                    const std::string& fingerprint,
                                                    std::size_t total_runs,
@@ -70,9 +71,10 @@ class CheckpointJournal {
   /// Append one completed outcome as a single atomic line write; fsyncs
   /// every `fsync_every` appends (0: only on close). Never throws — it is
   /// called from worker threads, where an escaping exception would
-  /// std::terminate the process. A write failure (disk full, quota, ...)
-  /// instead latches error() and turns further appends into no-ops; the
-  /// batch itself finishes, and the caller surfaces the error afterwards.
+  /// std::terminate the process. A write or fsync failure (disk full,
+  /// quota, ...) instead latches error() and turns further appends into
+  /// no-ops; the batch itself finishes, and the caller surfaces the error
+  /// afterwards.
   void append(const RunOutcome& outcome) noexcept;
 
   /// First append failure, or empty when the journal is healthy. Check

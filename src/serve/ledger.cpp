@@ -35,6 +35,10 @@ void write_all(int fd, const std::string& path, const std::string& data) {
   }
 }
 
+void fsync_or_throw(int fd, const std::string& path) {
+  if (::fsync(fd) != 0) fail_io(path, std::string("fsync failed (") + std::strerror(errno) + ")");
+}
+
 }  // namespace
 
 JobLedger::JobLedger(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
@@ -68,8 +72,13 @@ std::unique_ptr<JobLedger> JobLedger::open(const std::string& path, Loaded& load
     if (fd < 0) fail_io(path, std::string("cannot open (") + std::strerror(errno) + ")");
     Json header = Json::object();
     header.set("format", kLedgerFormat);
-    write_all(fd, path, header.dump() + "\n");
-    ::fsync(fd);
+    try {
+      write_all(fd, path, header.dump() + "\n");
+      fsync_or_throw(fd, path);
+    } catch (...) {
+      ::close(fd);
+      throw;
+    }
     return std::unique_ptr<JobLedger>(new JobLedger(fd, path));
   }
 
@@ -118,9 +127,7 @@ std::unique_ptr<JobLedger> JobLedger::open(const std::string& path, Loaded& load
 
 void JobLedger::append(const Json& event) {
   write_all(fd_, path_, event.dump() + "\n");
-  if (::fsync(fd_) != 0) {
-    fail_io(path_, std::string("fsync failed (") + std::strerror(errno) + ")");
-  }
+  fsync_or_throw(fd_, path_);
 }
 
 }  // namespace cohesion::serve

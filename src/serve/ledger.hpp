@@ -57,8 +57,9 @@ class JobLedger {
   /// Open `path` for appending, creating it (with a header) when missing,
   /// validating the header and truncating a torn tail when present. The
   /// complete events are returned via `loaded` for replay. Throws
-  /// run::TransientError on I/O failure, std::runtime_error on a wrong
-  /// format marker or malformed non-tail line (corruption, not a crash).
+  /// run::TransientError on I/O failure (a failed header fsync included),
+  /// std::runtime_error on a wrong format marker or malformed non-tail line
+  /// (corruption, not a crash).
   static std::unique_ptr<JobLedger> open(const std::string& path, Loaded& loaded);
 
   /// Append one event as a single fsync'd line. Throws run::TransientError

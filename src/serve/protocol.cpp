@@ -210,8 +210,14 @@ void LineConnection::send(const Json& message) {
 
 std::optional<Json> LineConnection::receive() {
   if (fd_ < 0) throw run::TransientNetworkError("receive: connection already closed");
+  std::size_t scanned = 0;  // prefix of buffer_ already known to hold no '\n'
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned);
+    const std::size_t line_bytes = newline == std::string::npos ? buffer_.size() : newline;
+    if (line_bytes > kMaxLineBytes) {
+      throw std::runtime_error("receive: line longer than kMaxLineBytes (" +
+                               std::to_string(kMaxLineBytes) + " bytes)");
+    }
     if (newline != std::string::npos) {
       const std::string line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
@@ -229,6 +235,7 @@ std::optional<Json> LineConnection::receive() {
       }
       return std::nullopt;
     }
+    scanned = buffer_.size();
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 }

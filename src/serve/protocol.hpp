@@ -16,6 +16,7 @@
 // lives one level up, in daemon/worker — this layer moves Json documents.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -60,6 +61,11 @@ int accept_on(int listen_fd, double timeout_seconds);
 /// one owner per side. The destructor closes the fd.
 class LineConnection {
  public:
+  /// Longest line receive() accepts. The largest line the serve e2e suite
+  /// sends is a served report of ~8.6 KB; this leaves room for reports of
+  /// ~100k runs while bounding what one peer can make the daemon buffer.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
+
   explicit LineConnection(int fd);
   ~LineConnection();
   LineConnection(const LineConnection&) = delete;
@@ -75,7 +81,8 @@ class LineConnection {
   /// Receive the next complete line and parse it. std::nullopt on clean
   /// EOF at a message boundary; throws run::TransientNetworkError on
   /// timeout, reset, or EOF mid-line; std::runtime_error on a line that is
-  /// not valid JSON (a protocol bug, not an environment failure).
+  /// not valid JSON or is longer than kMaxLineBytes (a protocol bug, not an
+  /// environment failure).
   std::optional<Json> receive();
 
   [[nodiscard]] int fd() const { return fd_; }

@@ -6,10 +6,6 @@
 // threads in one process, all publishing the same keys at once — the
 // in-process variant is what COHESION_SANITIZE=thread inspects). Unit
 // layer: tests/run/result_cache_test.cpp.
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../process_helpers.hpp"
 #include "run/batch_runner.hpp"
 #include "run/result_cache.hpp"
 #include "run/spec.hpp"
@@ -26,47 +23,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string build_dir() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  return fs::path(buf).parent_path().string();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-int wait_code(::pid_t pid) {
-  int st = 0;
-  ::waitpid(pid, &st, 0);
-  if (WIFEXITED(st)) return WEXITSTATUS(st);
-  if (WIFSIGNALED(st)) return 128 + WTERMSIG(st);
-  return -1;
-}
-
-::pid_t spawn_tool(const std::vector<std::string>& args, const std::string& log_path) {
-  std::vector<std::string> copy = args;
-  const ::pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int log = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (log >= 0) {
-    ::dup2(log, STDOUT_FILENO);
-    ::dup2(log, STDERR_FILENO);
-    if (log > STDERR_FILENO) ::close(log);
-  }
-  std::vector<char*> argv;
-  for (std::string& a : copy) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(argv[0], argv.data());
-  ::_exit(127);
-}
-
-int run_tool(const std::vector<std::string>& args, const std::string& log_path) {
-  return wait_code(spawn_tool(args, log_path));
-}
+using namespace e2e;
 
 class CacheE2E : public ::testing::Test {
  protected:

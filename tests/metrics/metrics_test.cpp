@@ -7,6 +7,7 @@
 #include "metrics/configurations.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
+#include "sched/asynchronous.hpp"
 #include "sched/synchronous.hpp"
 
 namespace cohesion::metrics {
@@ -132,6 +133,32 @@ TEST(Table, PrintAndCsv) {
   EXPECT_EQ(line, "a,b");
   std::getline(f, line);
   EXPECT_EQ(line, "1,2.5");
+}
+
+// stats_over_time samples the trace at arbitrary times; each sample must
+// equal configuration_stats of the configuration at that time.
+TEST(Replay, StatsOverTimeMatchesDirectSampling) {
+  const algo::KknpsAlgorithm algo({.k = 1});
+  const auto initial = line_configuration(5, 0.7);
+  sched::KAsyncScheduler sched(initial.size());
+  core::EngineConfig cfg;
+  cfg.visibility.radius = 1.0;
+  core::Engine engine(initial, algo, sched, cfg);
+  engine.run(500);
+
+  const std::vector<core::Time> times{0.0, 1.0, 5.0, 20.0, engine.trace().end_time()};
+  const auto series = stats_over_time(engine.trace(), times, 1.0);
+  ASSERT_EQ(series.size(), times.size());
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const auto direct = configuration_stats(engine.trace().configuration(times[i]), 1.0);
+    EXPECT_DOUBLE_EQ(series[i].diameter, direct.diameter);
+    EXPECT_DOUBLE_EQ(series[i].hull_perimeter, direct.hull_perimeter);
+    EXPECT_EQ(series[i].connected, direct.connected);
+  }
+  // Diameter non-increasing over the sampled times (hull-diminishing).
+  for (std::size_t i = 1; i < series.size(); ++i) {
+    EXPECT_LE(series[i].diameter, series[i - 1].diameter + 1e-9);
+  }
 }
 
 }  // namespace

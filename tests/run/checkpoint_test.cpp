@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "run/exit_codes.hpp"
 #include "run/shard.hpp"
 
 namespace cohesion::run {
@@ -281,6 +282,39 @@ TEST(Checkpoint, FsyncCadenceZeroAndCoarseBothJournalEveryOutcome) {
     EXPECT_EQ(static_cast<std::size_t>(std::count(content.begin(), content.end(), '\n')),
               e.expand().size() + 1);
   }
+}
+
+// fsync(2) on /dev/null fails with EINVAL: a journal whose header never
+// reached stable storage is not a journal.
+TEST(Checkpoint, CreateFailsByNameWhenTheHeaderFsyncFails) {
+  try {
+    (void)CheckpointJournal::create("/dev/null", "fp", 1, 1);
+    FAIL() << "create on /dev/null succeeded";
+  } catch (const TransientError& e) {
+    EXPECT_NE(std::string(e.what()).find("fsync failed"), std::string::npos) << e.what();
+  }
+}
+
+// A failed fsync after an append latches error() like a failed write. The
+// journal here is a pipe reopened through /proc/self/fd: write(2) into it
+// succeeds and fsync(2) on it fails with EINVAL.
+TEST(Checkpoint, AppendLatchesAFailedFsync) {
+  TempFile real("fsync_header");
+  (void)CheckpointJournal::create(real.path(), "fp", 1, 1);
+  const std::string header = read_file(real.path());
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], header.data(), header.size()),
+            static_cast<::ssize_t>(header.size()));
+  ::close(fds[1]);
+  CheckpointJournal::Loaded loaded;
+  auto journal = CheckpointJournal::resume("/proc/self/fd/" + std::to_string(fds[0]), "fp", 1,
+                                           1, loaded);
+  EXPECT_TRUE(journal->error().empty());
+  journal->append(RunOutcome{});
+  EXPECT_NE(journal->error().find("fsync failed"), std::string::npos) << journal->error();
+  journal.reset();
+  ::close(fds[0]);
 }
 
 TEST(Checkpoint, RunOutcomeJsonRoundTripIsExactForAllShapes) {

@@ -6,10 +6,7 @@
 // heartbeat stall, journal corruption — or an explicit partial report
 // naming the uncovered shards. Also covers the workers' exit-code
 // taxonomy and SIGTERM -> flush -> resume behavior end to end.
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "../process_helpers.hpp"
 #include "run/batch_runner.hpp"
 #include "run/exit_codes.hpp"
 #include "run/supervisor.hpp"
@@ -29,48 +27,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string build_dir() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  return fs::path(buf).parent_path().string();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-/// Exit code of a finished child: WEXITSTATUS, or 128+signal (shell style).
-int wait_code(::pid_t pid) {
-  int st = 0;
-  ::waitpid(pid, &st, 0);
-  if (WIFEXITED(st)) return WEXITSTATUS(st);
-  if (WIFSIGNALED(st)) return 128 + WTERMSIG(st);
-  return -1;
-}
-
-::pid_t spawn_tool(const std::vector<std::string>& args, const std::string& log_path) {
-  std::vector<std::string> copy = args;
-  const ::pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int log = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (log >= 0) {
-    ::dup2(log, STDOUT_FILENO);
-    ::dup2(log, STDERR_FILENO);
-    if (log > STDERR_FILENO) ::close(log);
-  }
-  std::vector<char*> argv;
-  for (std::string& a : copy) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(argv[0], argv.data());
-  ::_exit(127);
-}
-
-int run_tool(const std::vector<std::string>& args, const std::string& log_path) {
-  return wait_code(spawn_tool(args, log_path));
-}
+using namespace e2e;
 
 class LaunchE2E : public ::testing::Test {
  protected:
@@ -229,14 +186,32 @@ TEST_F(LaunchE2E, ExhaustedRetryBudgetYieldsPartialReportNamingTheShard) {
 TEST_F(LaunchE2E, LaunchCliWritesTheByteIdenticalReportUnderAFault) {
   const std::string launch = build_dir() + "/cohesion_launch";
   if (!fs::exists(launch)) GTEST_SKIP() << "cohesion_launch not built";
-  const std::string out = dir_ + "/report.json";
-  const int code = run_tool(
-      {launch, spec_path_, "--shards", "3", "--fault", "kill:shard=0,after=1",
-       "--throttle-ms", "50", "--backoff-base", "0.05", "--poll-interval", "0.01",
-       "--work-dir", dir_ + "/cli_work", "--out", out, "--quiet"},
-      dir_ + "/launch.log");
-  EXPECT_EQ(code, kExitSuccess) << read_file(dir_ + "/launch.log");
-  EXPECT_EQ(read_file(out), expected_report() + "\n");
+  const std::string expected = expected_report() + "\n";
+  // One fault, then kill + stall + corrupt on three shards in one launch.
+  struct Schedule {
+    std::vector<std::string> args;
+    std::vector<std::string> events;
+  };
+  const std::vector<Schedule> schedules = {
+      {{"--fault", "kill:shard=0,after=1"}, {"fault injected on shard 0"}},
+      {{"--fault", "kill:shard=1,after=2", "--fault", "stall:shard=0,after=1", "--fault",
+        "corrupt:shard=2,after=1", "--lease-timeout", "1"},
+       {"fault injected on shard 0", "fault injected on shard 1", "fault injected on shard 2",
+        "lease expired"}}};
+  for (std::size_t i = 0; i < schedules.size(); ++i) {
+    const std::string tag = std::to_string(i);
+    const std::string out = dir_ + "/report" + tag + ".json";
+    const std::string log = dir_ + "/launch" + tag + ".log";
+    std::vector<std::string> args = {launch, spec_path_, "--shards", "3", "--throttle-ms", "50",
+                                     "--backoff-base", "0.05", "--poll-interval", "0.01",
+                                     "--work-dir", dir_ + "/cli_work" + tag, "--out", out};
+    args.insert(args.end(), schedules[i].args.begin(), schedules[i].args.end());
+    EXPECT_EQ(run_tool(args, log), kExitSuccess) << read_file(log);
+    EXPECT_EQ(read_file(out), expected) << "fault schedule " << i;
+    for (const std::string& event : schedules[i].events) {
+      EXPECT_NE(read_file(log).find(event), std::string::npos) << event << "\n" << read_file(log);
+    }
+  }
 }
 
 TEST_F(LaunchE2E, PresetLayeredSweepCoversEveryRunByteIdentically) {

@@ -139,6 +139,18 @@ TEST(JobLedgerTest, MalformedMiddleLineIsCorruptionNotCrash) {
   EXPECT_THROW(JobLedger::open(f.path(), loaded), std::runtime_error);
 }
 
+// fsync(2) on /dev/null fails with EINVAL: a ledger whose header never
+// reached stable storage is not opened.
+TEST(JobLedgerTest, OpenFailsByNameWhenTheHeaderFsyncFails) {
+  JobLedger::Loaded loaded;
+  try {
+    (void)JobLedger::open("/dev/null", loaded);
+    FAIL() << "open on /dev/null succeeded";
+  } catch (const run::TransientError& e) {
+    EXPECT_NE(std::string(e.what()).find("fsync failed"), std::string::npos) << e.what();
+  }
+}
+
 TEST(JobLedgerTest, EmptyFileIsTreatedAsFresh) {
   TempFile f("empty");
   write_file(f.path(), "");

@@ -108,6 +108,32 @@ TEST(LineConnectionTest, InvalidJsonLineIsAProtocolBug) {
       std::runtime_error);
 }
 
+// A peer that streams past kMaxLineBytes without a newline is refused by
+// a named error instead of being buffered without bound.
+TEST(LineConnectionTest, LineLongerThanTheCapIsRefusedByName) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  LineConnection reader(fds[0]);
+  const int writer_fd = fds[1];
+  std::thread writer([writer_fd] {
+    const std::string chunk(std::size_t{1} << 16, 'x');
+    // Runs until the reader hangs up (EPIPE).
+    while (::send(writer_fd, chunk.data(), chunk.size(), MSG_NOSIGNAL) > 0) {
+    }
+  });
+  try {
+    (void)reader.receive();
+    ADD_FAILURE() << "an endless line was accepted";
+  } catch (const run::TransientNetworkError& e) {
+    ADD_FAILURE() << "an oversized line is a protocol violation, not transient: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxLineBytes"), std::string::npos) << e.what();
+  }
+  reader.close_now();
+  writer.join();
+  ::close(writer_fd);
+}
+
 TEST(UnixSocketTest, ListenConnectAcceptRoundTrip) {
   const std::string sock =
       (fs::temp_directory_path() / ("cohesion_proto_" + std::to_string(::getpid()) + ".sock"))

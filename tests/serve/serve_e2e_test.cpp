@@ -1,16 +1,14 @@
 // Crash-injection acceptance battery for cohesion_serve (unit layer:
 // job_table_test.cpp). Each test stands up a real daemon plus real
 // `cohesion_serve --worker` processes (which spawn real `cohesion_run`
-// runners) from the build tree over a Unix socket, injects the fault the
-// ISSUE names — SIGKILL a worker mid-run, SIGTERM + restart the daemon
-// mid-run, elastic grow/shrink, retry exhaustion — and holds the served
-// report to contract 13: byte-identical to the fresh single-process
-// `--no-timing` report under every partition history, or an explicit
-// cohesion-supervised-partial/1 document naming the uncovered work.
-#include <fcntl.h>
+// runners) from the build tree over a Unix socket, injects a fault —
+// SIGKILL a worker mid-run, SIGTERM + restart the daemon mid-run, elastic
+// grow/shrink, retry exhaustion, a peer sending an oversized line — and
+// holds the served report to contract 13: byte-identical to the fresh
+// single-process `--no-timing` report under every partition history, or an
+// explicit cohesion-supervised-partial/1 document naming the uncovered work.
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
@@ -22,54 +20,19 @@
 #include <thread>
 #include <vector>
 
+#include "../process_helpers.hpp"
 #include "run/batch_runner.hpp"
 #include "run/exit_codes.hpp"
 #include "run/spec.hpp"
 #include "serve/job_table.hpp"
+#include "serve/protocol.hpp"
 
 namespace cohesion::serve {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string build_dir() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  return fs::path(buf).parent_path().string();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-/// Exit code of a finished child: WEXITSTATUS, or 128+signal (shell style).
-int wait_code(::pid_t pid) {
-  int st = 0;
-  ::waitpid(pid, &st, 0);
-  if (WIFEXITED(st)) return WEXITSTATUS(st);
-  if (WIFSIGNALED(st)) return 128 + WTERMSIG(st);
-  return -1;
-}
-
-::pid_t spawn_tool(const std::vector<std::string>& args, const std::string& log_path) {
-  std::vector<std::string> copy = args;
-  const ::pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int log = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (log >= 0) {
-    ::dup2(log, STDOUT_FILENO);
-    ::dup2(log, STDERR_FILENO);
-    if (log > STDERR_FILENO) ::close(log);
-  }
-  std::vector<char*> argv;
-  for (std::string& a : copy) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(argv[0], argv.data());
-  ::_exit(127);
-}
+using namespace e2e;
 
 bool wait_for(const std::function<bool()>& pred, double timeout_seconds = 90.0) {
   const auto deadline =
@@ -358,6 +321,32 @@ TEST_F(ServeE2E, SigtermedWorkerReleasesLeaseSuccessorCompletes) {
   EXPECT_GE(salvaged, 1u);
 
   start_worker("w2", 20);
+  ASSERT_EQ(wait_code(submit), 0) << daemon_log() << read_file(dir_ + "/submit.log");
+  EXPECT_EQ(read_file(dir_ + "/report.json"), expected_report());
+}
+
+TEST_F(ServeE2E, OversizedLinePeerIsDroppedOthersKeepBeingServed) {
+  start_daemon();
+  const ::pid_t submit = start_submit_wait();
+  start_worker("w1", 400);
+  start_worker("w2", 400);
+  ASSERT_TRUE(wait_for([&] { return ledger_outcomes() >= 1 && !job_terminal_in_ledger(); }))
+      << daemon_log();
+
+  // A peer that streams more than kMaxLineBytes with no newline, mid-job.
+  const int rogue = connect_to(Address::parse(address_), 10.0);
+  const std::string chunk(std::size_t{1} << 16, 'x');
+  for (std::size_t sent = 0; sent <= LineConnection::kMaxLineBytes;) {
+    const ::ssize_t n = ::send(rogue, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;  // the daemon already hung up
+    sent += static_cast<std::size_t>(n);
+  }
+  ::close(rogue);
+  ASSERT_TRUE(wait_for([&] { return daemon_log_contains("kMaxLineBytes"); })) << daemon_log();
+  EXPECT_FALSE(job_terminal_in_ledger()) << "the job finished before the rogue peer was dropped";
+
+  // The daemon dropped that peer and kept serving the workers and the
+  // waiting submitter.
   ASSERT_EQ(wait_code(submit), 0) << daemon_log() << read_file(dir_ + "/submit.log");
   EXPECT_EQ(read_file(dir_ + "/report.json"), expected_report());
 }

@@ -15,10 +15,13 @@
 #     spec schema fields) — greps below, extend when adding flags;
 #   * the core documentation set (README.md, docs/architecture.md,
 #     docs/benchmarks.md, docs/experiments.md, docs/operations.md) must
-#     exist and README.md must link every docs/ file.
+#     exist and README.md must link every docs/ file;
+#   * every src/, tests/, tools/, bench/, examples/, perfbench/ or docs/
+#     path that README.md or docs/*.md names must exist (globs and {a,b}
+#     alternatives expanded; the gitignored bench/out/ is exempt).
 #
-# Run from anywhere; wired into bench/run_benches.sh and registered as the
-# `docs_check` ctest test so CI fails on rot.
+# Run from anywhere; registered as the `docs_check` ctest test so CI fails
+# on rot.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -118,7 +121,22 @@ for doc in docs/*.md; do
     complain "README.md does not link docs/$name"
 done
 
+# Paths named in the docs exist. A path starts at a word boundary (not
+# inside a longer path) and stops at the first character that cannot be
+# part of one; trailing punctuation is sentence punctuation.
+while IFS= read -r ref; do
+  ref=${ref%%[.,]}
+  case "$ref" in bench/out | bench/out/*) continue ;; esac
+  # The character class above admits no shell syntax beyond *, { } and ,
+  # so eval only expands globs and brace alternatives.
+  eval "set -- $ref"
+  for path in "$@"; do
+    [ -e "$path" ] || complain "README.md or docs/*.md names $ref, but $path does not exist"
+  done
+done < <(grep -ohP '(?<![\w./-])(src|tests|tools|bench|examples|perfbench|docs)/[\w./*{},-]*' \
+           README.md docs/*.md | sort -u)
+
 if [ "$fail" = 0 ]; then
-  echo "check_docs: OK (src subsystems, bench files, tools, CLI flags, spec fields and doc links all covered)"
+  echo "check_docs: OK (src subsystems, bench files, tools, CLI flags, spec fields, doc links and named paths all covered)"
 fi
 exit "$fail"

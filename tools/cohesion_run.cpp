@@ -113,7 +113,7 @@ int usage(int code) {
 }
 
 /// Peak resident set size in KB (Linux ru_maxrss unit), for the
-/// bounded-memory assertions in bench/run_benches.sh.
+/// bounded-memory assertion in tests/trace/stream_e2e_test.cpp.
 long peak_rss_kb() {
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
