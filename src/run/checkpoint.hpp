@@ -17,12 +17,9 @@
 // shard, early-stop rule or dynamics version fails with an error that says
 // so, instead of silently mixing incompatible outcomes.
 //
-// Crash tolerance: every append is a single write(2) of a complete line
-// (O_APPEND), fsync'd every `fsync_every` outcomes. A crash can therefore
-// leave at most one torn line, and only at the tail; load() drops it and
-// truncates the file back to the last complete line before appending
-// resumes. Malformed JSON anywhere *before* the final line is not a crash
-// artifact and is rejected as corruption.
+// The file discipline — single-write O_APPEND lines, fsync cadence, torn
+// tail dropped and truncated on resume, corruption refused by name — is
+// run/line_log's; this file is the schema over it.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +29,7 @@
 #include <vector>
 
 #include "run/batch_runner.hpp"
+#include "run/line_log.hpp"
 #include "run/spec.hpp"
 
 namespace cohesion::run {
@@ -59,9 +57,10 @@ class CheckpointJournal {
 
   /// Resume: validate an existing journal against (fingerprint, total_runs),
   /// return its completed outcomes via `loaded`, truncate any torn tail, and
-  /// open for appending. A missing file degrades to create() — resuming a
-  /// run that never started is just starting it. Throws std::runtime_error
-  /// with an actionable message on a malformed header/body or on a
+  /// open for appending. A missing file or a torn header degrades to
+  /// create() — resuming a run that never started is just starting it.
+  /// Throws std::runtime_error with an actionable message, leaving the file
+  /// untouched, on a foreign file, a malformed header/body or a
   /// fingerprint/total mismatch (stale checkpoint).
   static std::unique_ptr<CheckpointJournal> resume(const std::string& path,
                                                    const std::string& fingerprint,
@@ -82,17 +81,10 @@ class CheckpointJournal {
   /// incomplete (resuming from it is still safe — missing runs re-run).
   [[nodiscard]] std::string error() const;
 
-  ~CheckpointJournal();
-  CheckpointJournal(const CheckpointJournal&) = delete;
-  CheckpointJournal& operator=(const CheckpointJournal&) = delete;
-
  private:
-  CheckpointJournal(int fd, std::string path, std::size_t fsync_every);
+  explicit CheckpointJournal(LineLog log) : log_(std::move(log)) {}
 
-  int fd_ = -1;
-  std::string path_;
-  std::size_t fsync_every_ = 1;
-  std::size_t since_sync_ = 0;
+  LineLog log_;        ///< guarded by mutex_
   std::string error_;  ///< first append failure; latched, guarded by mutex_
   mutable std::mutex mutex_;
 };

@@ -3,27 +3,17 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #include "run/exit_codes.hpp"
+#include "run/line_log.hpp"
 
 namespace cohesion::run {
 
 namespace {
-
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
 
 /// The cached physics of a run — exactly the deterministic report fields a
 /// successful memory/off-mode outcome serializes, in the same order, so a
@@ -195,18 +185,7 @@ void ResultCache::insert(const ExpandedRun& run, const RunOutcome& outcome) noex
                             std::to_string(temp_serial_.fetch_add(1, std::memory_order_relaxed));
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
     if (fd < 0) return;
-    std::size_t off = 0;
-    bool ok = true;
-    while (off < bytes.size()) {
-      const ::ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        ok = false;
-        break;
-      }
-      off += static_cast<std::size_t>(w);
-    }
-    if (ok) ok = ::fsync(fd) == 0;
+    const bool ok = write_all(fd, bytes) && ::fsync(fd) == 0;
     ::close(fd);
     if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
       ::unlink(tmp.c_str());

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "run/exit_codes.hpp"
+#include "run/line_log.hpp"
 #include "run/shard.hpp"
 
 namespace cohesion::run {
@@ -49,23 +50,16 @@ bool read_journal_outcomes(const std::string& path, std::vector<RunOutcome>& out
   if (!in) return false;
   const std::string content((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn tail — a crash artifact, ignored
-    const std::string_view line(content.data() + pos, nl - pos);
-    pos = nl + 1;
-    ++line_no;
-    if (line_no == 1) continue;  // header
+  const std::vector<std::string_view> lines = complete_lines(content);  // torn tail ignored
+  for (std::size_t i = 1; i < lines.size(); ++i) {  // line 1 is the header
     try {
-      outcomes.push_back(RunOutcome::from_json(Json::parse(line)));
+      outcomes.push_back(RunOutcome::from_json(Json::parse(lines[i])));
     } catch (const std::exception&) {
       // A live runner owns this file; skip anything unreadable rather than
       // fail supervision over a monitoring read.
     }
   }
-  return line_no > 0;
+  return !lines.empty();
 }
 
 std::vector<RunOutcome> JournalWatch::poll(JournalStat& stat) {

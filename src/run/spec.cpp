@@ -130,16 +130,24 @@ RunSpec RunSpec::from_json(const Json& j) {
   return s;
 }
 
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t h) {
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
 namespace {
 
 /// FNV-1a 64 of the dynamics version tag followed by the spec document.
+/// The start value is the FNV offset basis with its last digit dropped;
+/// every fingerprint, cache key and golden pin is hashed from it, so it
+/// stays.
 std::uint64_t versioned_hash(const std::string& doc) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64
-  for (const char c : "dynamics=" + std::to_string(kDynamicsVersion) + ";" + doc) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  std::uint64_t h = fnv1a64("dynamics=", 1469598103934665603ull);
+  h = fnv1a64(std::to_string(kDynamicsVersion), h);
+  return fnv1a64(doc, fnv1a64(";", h));
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/stop_condition.hpp"
@@ -122,6 +123,10 @@ inline constexpr std::uint64_t kDynamicsVersion = 1;
 /// dynamics, so a stream recorded in any mode of the same physical run
 /// carries the same fingerprint as the in-memory reference.
 [[nodiscard]] std::uint64_t spec_fingerprint(const RunSpec& spec);
+/// FNV-1a 64 of `text`, continuing from `h` (by default the offset basis),
+/// so a hash can be fed piecewise.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view text,
+                                    std::uint64_t h = 0xCBF29CE484222325ull);
 /// 16-hex-digit rendering of a fingerprint (zero-padded, lowercase).
 [[nodiscard]] std::string fingerprint_hex(std::uint64_t fp);
 

@@ -25,6 +25,13 @@ std::vector<run::RunOutcome> parse_outcomes(const Json& msg) {
   return out;
 }
 
+Json ledger_event(const char* event, std::uint64_t job) {
+  Json e = Json::object();
+  e.set("event", event);
+  e.set("job", job);
+  return e;
+}
+
 struct Client {
   LineConnection conn;
   std::uint64_t worker = 0;  ///< 0 until a worker hello
@@ -72,19 +79,15 @@ class DaemonLoop {
     if (options_.on_event) options_.on_event(line);
   }
 
+  /// The ledger schema admits only these four events (serve/ledger.hpp).
   void replay(const JobLedger::Loaded& loaded) {
     for (const LedgerEvent& e : loaded.events) {
       if (e.event == "job") {
         table_.replay_job(e.job, e.payload.string_or("name", ""), e.payload.at("spec"));
       } else if (e.event == "outcome") {
         table_.replay_outcome(e.job, run::RunOutcome::from_json(e.payload.at("run")));
-      } else if (e.event == "done") {
-        table_.replay_terminal(e.job, /*failed=*/false);
-      } else if (e.event == "failed") {
-        table_.replay_terminal(e.job, /*failed=*/true);
       } else {
-        throw std::runtime_error("ledger " + options_.ledger_path + ": unknown event \"" +
-                                 e.event + "\"");
+        table_.replay_terminal(e.job, /*failed=*/e.event == "failed");
       }
     }
   }
@@ -93,23 +96,13 @@ class DaemonLoop {
   /// written before the done/failed seals they may have caused.
   void apply(Effects& effects) {
     for (const auto& [job, outcome] : effects.fresh) {
-      Json e = Json::object();
-      e.set("event", "outcome");
-      e.set("job", job);
+      Json e = ledger_event("outcome", job);
       e.set("run", outcome.to_json());
       ledger_->append(e);
     }
-    for (const std::uint64_t job : effects.done_jobs) {
-      Json e = Json::object();
-      e.set("event", "done");
-      e.set("job", job);
-      ledger_->append(e);
-    }
+    for (const std::uint64_t job : effects.done_jobs) ledger_->append(ledger_event("done", job));
     for (const std::uint64_t job : effects.failed_jobs) {
-      Json e = Json::object();
-      e.set("event", "failed");
-      e.set("job", job);
-      ledger_->append(e);
+      ledger_->append(ledger_event("failed", job));
     }
     for (const std::string& note : effects.notes) event(note);
   }
@@ -212,9 +205,7 @@ class DaemonLoop {
             table_.add_job(msg.string_or("name", ""), *spec, now(), effects);
         // Durability before the ack: once the client hears the job id, a
         // daemon restart must still know the job.
-        Json e = Json::object();
-        e.set("event", "job");
-        e.set("job", job);
+        Json e = ledger_event("job", job);
         e.set("name", msg.string_or("name", ""));
         e.set("spec", run::ExperimentSpec::from_json(*spec).to_json());
         ledger_->append(e);

@@ -1,9 +1,9 @@
 // Append-only job ledger: the daemon's crash-safe memory.
 //
-// Same durability design as the checkpoint journal (run/checkpoint.hpp):
-// one '\n'-terminated JSON document per line, each append a single
-// write(2) on an O_APPEND fd, fsync'd per event — a crash can tear at
-// most the final line, and load() drops + truncates it. The file:
+// A schema over the durable line log in run/line_log.hpp, which owns the
+// file discipline: one JSON document per line, each append a single
+// write(2), here fsync'd per event — a crash can tear at most the final
+// line, and open() drops + truncates it. The file:
 //
 //   line 1   header: {"format": "cohesion-serve-ledger/1"}
 //   line 2+  events, in arrival order:
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "run/json.hpp"
+#include "run/line_log.hpp"
 
 namespace cohesion::serve {
 
@@ -58,8 +59,12 @@ class JobLedger {
   /// validating the header and truncating a torn tail when present. The
   /// complete events are returned via `loaded` for replay. Throws
   /// run::TransientError on I/O failure (a failed header fsync included),
-  /// std::runtime_error on a wrong format marker or malformed non-tail line
-  /// (corruption, not a crash).
+  /// std::runtime_error naming the line on a wrong format marker, a
+  /// malformed non-tail line (corruption, not a crash) or an event the
+  /// schema above does not allow — an unknown "event", a "job" without a
+  /// "spec" object or with an id already submitted, an event for a job
+  /// with no earlier "job" event, an "outcome" whose "run" is not a run
+  /// outcome.
   static std::unique_ptr<JobLedger> open(const std::string& path, Loaded& loaded);
 
   /// Append one event as a single fsync'd line. Throws run::TransientError
@@ -68,14 +73,9 @@ class JobLedger {
   /// than lose jobs silently later.
   void append(const Json& event);
 
-  ~JobLedger();
-  JobLedger(const JobLedger&) = delete;
-  JobLedger& operator=(const JobLedger&) = delete;
-
  private:
-  JobLedger(int fd, std::string path);
-  int fd_ = -1;
-  std::string path_;
+  explicit JobLedger(run::LineLog log) : log_(std::move(log)) {}
+  run::LineLog log_;
 };
 
 }  // namespace cohesion::serve

@@ -317,6 +317,32 @@ TEST(Checkpoint, AppendLatchesAFailedFsync) {
   ::close(fds[0]);
 }
 
+// A file with no complete line is a torn header only if its bytes could
+// have been written by this journal. Anything else — here a JSON document
+// missing its final newline — is someone else's file: refused by name,
+// never overwritten.
+TEST(Checkpoint, ResumeRefusesAForeignFileWithoutATrailingNewline) {
+  const ExperimentSpec e = checkpoint_sweep();
+  TempFile notes("notes");
+  const std::string foreign = R"({"name": "my precious notes without trailing newline"})";
+  write_file(notes.path(), foreign);
+  BatchRunner::Options opt;
+  opt.checkpoint_path = notes.path();
+  opt.resume = true;
+  try {
+    (void)BatchRunner(opt).run(e);
+    FAIL() << "resume overwrote a foreign file";
+  } catch (const TransientError& err) {
+    FAIL() << "a foreign file is not an I/O failure: " << err.what();
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("checkpoint " + notes.path() + ": "), std::string::npos)
+        << err.what();
+    EXPECT_NE(std::string(err.what()).find("not a cohesion checkpoint file"), std::string::npos)
+        << err.what();
+  }
+  EXPECT_EQ(read_file(notes.path()), foreign);
+}
+
 TEST(Checkpoint, RunOutcomeJsonRoundTripIsExactForAllShapes) {
   RunOutcome full;
   full.index = 3;

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "run/exit_codes.hpp"
 
@@ -159,6 +161,67 @@ TEST(JobLedgerTest, EmptyFileIsTreatedAsFresh) {
   ASSERT_NE(ledger, nullptr);
   EXPECT_TRUE(loaded.events.empty());
   EXPECT_NE(read_file(f.path()).find(kLedgerFormat), std::string::npos);
+}
+
+TEST(JobLedgerTest, OpenRefusesAForeignFileWithoutATrailingNewline) {
+  TempFile f("foreign");
+  const std::string foreign = R"({"name": "my precious notes without trailing newline"})";
+  write_file(f.path(), foreign);
+  JobLedger::Loaded loaded;
+  try {
+    (void)JobLedger::open(f.path(), loaded);
+    FAIL() << "open overwrote a foreign file";
+  } catch (const run::TransientError& e) {
+    FAIL() << "a foreign file is not an I/O failure: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ledger " + f.path() + ": "), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("not a cohesion serve ledger"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(read_file(f.path()), foreign);
+}
+
+// Events the daemon could not replay are refused at open, naming their
+// line, as permanent corruption — not deep inside replay.
+TEST(JobLedgerTest, EventsOutsideTheSchemaAreRefusedNamingTheirLine) {
+  const std::string header = std::string("{\"format\":\"") + kLedgerFormat + "\"}\n";
+  const std::string job = job_event(1).dump() + "\n";
+  for (const auto& [bad, cause] : std::vector<std::pair<std::string, std::string>>{
+           {R"({"event":"bogus","job":1})", "unknown event \"bogus\""},
+           {R"({"event":"job","job":1,"name":"x"})", "\"spec\""},
+           {R"({"event":"outcome","job":1})", "\"run\""},
+           {R"({"event":"outcome","job":1,"run":{"index":0}})", "not a ledger event"},
+           {R"({"job":1})", "no \"event\" field"},
+           {R"({"event":"done"})", "\"job\""},
+           {R"({"event":"done","job":9})", "job 9 has no earlier \"job\" event"},
+           {job_event(1).dump(), "job 1 is submitted twice"},
+       }) {
+    TempFile f("schema");
+    write_file(f.path(), header + job + bad + "\n");
+    JobLedger::Loaded loaded;
+    try {
+      (void)JobLedger::open(f.path(), loaded);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const run::TransientError& e) {
+      ADD_FAILURE() << "schema violation classified transient: " << e.what();
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(cause), std::string::npos) << what;
+    }
+  }
+  TempFile f("bogus");
+  write_file(f.path(), header + R"({"event":"bogus","job":1})" + "\n");
+  JobLedger::Loaded loaded;
+  try {
+    (void)JobLedger::open(f.path(), loaded);
+    FAIL() << "accepted a bogus event";
+  } catch (const run::TransientError& e) {
+    FAIL() << "schema violation classified transient: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace
