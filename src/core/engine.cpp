@@ -264,15 +264,15 @@ bool Engine::run_until(const StopCondition& stop) {
   std::size_t done = 0;
   while (done < stop.max_activations) {
     for (std::size_t i = 0; i < check_every && done < stop.max_activations; ++i, ++done) {
-      if (!step()) return check_diameter && current_diameter() <= stop.epsilon;
+      if (!step()) return check_diameter && diameter_at_most(stop.epsilon);
       if (check_time && frontier_ >= stop.max_time) {
-        return check_diameter && current_diameter() <= stop.epsilon;
+        return check_diameter && diameter_at_most(stop.epsilon);
       }
     }
-    if (check_diameter && current_diameter() <= stop.epsilon) return true;
+    if (check_diameter && diameter_at_most(stop.epsilon)) return true;
     if (stop.predicate && stop.predicate(*this)) break;
   }
-  return check_diameter && current_diameter() <= stop.epsilon;
+  return check_diameter && diameter_at_most(stop.epsilon);
 }
 
 bool Engine::run_until_converged(double epsilon, std::size_t max_activations,
@@ -297,6 +297,18 @@ std::vector<Vec2> Engine::current_configuration() const {
 
 double Engine::current_diameter() const {
   return geom::set_diameter(current_configuration());
+}
+
+bool Engine::diameter_at_most(double epsilon) const {
+  // One pass over the positions current_configuration() evaluates; the
+  // bounding box decides unless its sides sit in the band around epsilon.
+  if (config_.snapshot_path != SnapshotPath::kScan) {
+    DiameterCut cut(epsilon);
+    const Time t = end_time_ + 1.0;
+    for (RobotId r = 0; r < trace_.robot_count(); ++r) cut.add(kin_.position_at(r, t));
+    if (const std::optional<bool> decided = cut.decided()) return *decided;
+  }
+  return current_diameter() <= epsilon;
 }
 
 }  // namespace cohesion::core

@@ -147,6 +147,10 @@ class Engine final : public SimulationView {
   [[nodiscard]] const Trace& trace() const { return trace_; }
   [[nodiscard]] std::vector<geom::Vec2> current_configuration() const;
   [[nodiscard]] double current_diameter() const;
+  /// current_diameter() <= epsilon, the stop rule's test: decided from the
+  /// bounding box in O(n) (DiameterCut), with the hull only inside
+  /// its rounding band.
+  [[nodiscard]] bool diameter_at_most(double epsilon) const;
 
   /// Time of the last committed move end (0 before any activation).
   /// Maintained by the engine itself, so it is exact in both history modes.

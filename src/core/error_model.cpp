@@ -60,8 +60,16 @@ Vec2 LocalFrame::perceive(Vec2 true_offset, std::mt19937_64& rng) const {
   if (reflect_) v.y = -v.y;
   // Vec2::rotated(rotation_)'s arithmetic, with the frame's cos and sin.
   v = {cos_ * v.x - sin_ * v.y, sin_ * v.x + cos_ * v.y};
+  if (v.x == 0.0 && v.y == 0.0) return v;  // no direction: no distortion, no draw
+  if (distortion_.skew() == 0.0) {
+    // Only the distance error acts: scale the Cartesian vector, no polar form.
+    if (distance_delta_ > 0.0) {
+      std::uniform_real_distribution<double> noise(-distance_delta_, distance_delta_);
+      v *= 1.0 + noise(rng);
+    }
+    return v;
+  }
   const double d = v.norm();
-  if (d == 0.0) return v;
   double theta = v.angle();
   theta = distortion_.apply(theta);
   double perceived_d = d;
@@ -73,12 +81,15 @@ Vec2 LocalFrame::perceive(Vec2 true_offset, std::mt19937_64& rng) const {
 }
 
 Vec2 LocalFrame::intent_to_global(Vec2 local_destination) const {
-  const double d = local_destination.norm();
-  if (d == 0.0) return {0.0, 0.0};
-  double theta = local_destination.angle();
-  theta = distortion_.invert(theta);
-  Vec2 v = geom::unit(theta) * d;
-  v = v.rotated(-rotation_);
+  Vec2 v = local_destination;
+  if (v.x == 0.0 && v.y == 0.0) return {0.0, 0.0};
+  if (distortion_.skew() != 0.0) {
+    const double d = v.norm();
+    v = geom::unit(distortion_.invert(v.angle())) * d;
+  }
+  // The inverse rotation, v.rotated(-rotation_)'s arithmetic with the
+  // frame's cos and sin (cos is even and sin odd, bit for bit).
+  v = {cos_ * v.x + sin_ * v.y, cos_ * v.y - sin_ * v.x};
   if (reflect_) v.y = -v.y;
   return v;
 }

@@ -8,6 +8,12 @@
 // *inverse* of the frame (the robot acts in the same distorted coordinate
 // system it perceives in), after which a relative motion error that grows
 // quadratically with the travelled distance may deflect the endpoint.
+//
+// Only the skew acts on the angle. A frame without skew therefore maps a
+// vector in Cartesian form: rotate (and reflect) with the frame's cached
+// cos and sin, then scale by the drawn distance factor; its inverse is the
+// transposed rotation. Only a skewed frame goes through polar form
+// (hypot, atan2, then sin and cos of the distorted angle).
 #pragma once
 
 #include <cstdint>
@@ -62,7 +68,8 @@ class LocalFrame {
 
   /// Map a true global displacement (neighbour - self) into perceived local
   /// coordinates, applying rotation/reflection, angle distortion and a fresh
-  /// per-observation distance error drawn from `rng`.
+  /// per-observation distance error drawn from `rng`. A zero offset is
+  /// returned as is, without a draw.
   [[nodiscard]] geom::Vec2 perceive(geom::Vec2 true_offset, std::mt19937_64& rng) const;
 
   /// Map an intended local destination back to a true global displacement.

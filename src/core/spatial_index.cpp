@@ -52,6 +52,22 @@ constexpr std::int64_t kMaxSegmentSpan = 8;
 
 }  // namespace
 
+DiameterCut::DiameterCut(double epsilon) {
+  const double e2 = epsilon * epsilon;
+  if (epsilon > 0.0 && e2 >= kMinBandSquare && e2 <= kMaxBandSquare) {
+    above_ = epsilon * (1.0 + kHypotBand);
+    below_ = e2 * (1.0 - kHypotBand);
+  }
+}
+
+std::optional<bool> DiameterCut::decided() const {
+  if (!finite_) return std::nullopt;
+  const double w = max_x_ - min_x_, h = max_y_ - min_y_;
+  if (w > above_ || h > above_) return false;
+  if (w * w + h * h < below_) return true;
+  return std::nullopt;
+}
+
 void SpatialGrid::set_cell_size(double cell_size) {
   cell_ = (std::isfinite(cell_size) && cell_size > 0.0) ? cell_size : 1.0;
   inv_cell_ = 1.0 / cell_;

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -139,6 +140,50 @@ class NormMaxFilter {
 
  private:
   double cut_ = -std::numeric_limits<double>::infinity();
+};
+
+/// Decides `geom::set_diameter(points) <= epsilon` from the points' bounding
+/// box, in one pass and without a hull, whenever the box is clear of the
+/// ±kHypotBand relative band around epsilon. The diameter lies between the longer box
+/// side and the box diagonal. With u = 2^-53, W = fl(x_max - x_min) is
+/// within u·W* of the exact side W* (min and max are exact, and one
+/// subtraction rounds once), and likewise H.
+/// - W or H above fl(epsilon·(1 + 1e-9)): the threshold is within 2u of
+///   epsilon·(1 + 1e-9), so W* > epsilon·(1 + 1e-9)(1 - 2u)/(1 + u) >
+///   epsilon: the two points on opposite sides of the box are more than
+///   epsilon apart, and so is the diameter. set_diameter, the largest
+///   computed distance over the pairs its calipers visit, agrees unless
+///   rounding costs the calipers more than 1e-9 of relative length.
+/// - fl(fl(W²) + fl(H²)) below fl(fl(epsilon²)·(1 - 1e-9)): W, the squares
+///   and the sum each round once, so W*² + H*² < epsilon²·(1 - 1e-9)·
+///   (1 + u)³/(1 - u)⁴ < epsilon²·(1 - 9.9e-10), and every pair is closer
+///   than epsilon·(1 - 4.9e-10). (An underflowed square adds at most
+///   2^-1074, nothing against epsilon² >= 2^-900.) set_diameter returns
+///   std::hypot (within 1 ulp, <= 2u relative, as in HypotCut) of
+///   one rounded difference of a pair, at most (1 + 3.1u) times that
+///   pair's distance: below epsilon.
+/// Inside the band, for an epsilon whose square leaves [kMinBandSquare,
+/// kMaxBandSquare] (zero, negative, tiny, huge, NaN) and for a non-finite
+/// coordinate, decided() is empty and the caller asks set_diameter.
+class DiameterCut {
+ public:
+  explicit DiameterCut(double epsilon);
+  void add(geom::Vec2 p) {
+    finite_ = finite_ && std::isfinite(p.x) && std::isfinite(p.y);
+    min_x_ = std::min(min_x_, p.x);
+    max_x_ = std::max(max_x_, p.x);
+    min_y_ = std::min(min_y_, p.y);
+    max_y_ = std::max(max_y_, p.y);
+  }
+  /// True or false when the box decides the diameter against epsilon.
+  [[nodiscard]] std::optional<bool> decided() const;
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  double above_ = kInf;   ///< box sides above this: diameter > epsilon
+  double below_ = -kInf;  ///< squared diagonals below this: diameter <= epsilon
+  double min_x_ = kInf, max_x_ = -kInf, min_y_ = kInf, max_y_ = -kInf;
+  bool finite_ = true;
 };
 
 class SpatialGrid {

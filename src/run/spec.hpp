@@ -114,8 +114,10 @@ struct RunSpec {
 /// checkpoint fingerprint all hash it, so no cache entry, journal or stream
 /// header written under the old dynamics matches the new code
 /// (docs/architecture.md, contract 2). History: 1 — KAsyncScheduler always
-/// selects the most-starved robot from its ready-time heap.
-inline constexpr std::uint64_t kDynamicsVersion = 1;
+/// selects the most-starved robot from its ready-time heap; 2 — a Look
+/// through an unskewed LocalFrame stays in Cartesian form (no polar round
+/// trip in perceive or intent_to_global).
+inline constexpr std::uint64_t kDynamicsVersion = 2;
 
 /// FNV-1a 64 of kDynamicsVersion and the resolved spec JSON — the run
 /// identity stamped into stream headers and reports. The trace block is

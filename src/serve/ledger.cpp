@@ -30,6 +30,7 @@ LedgerEvent parse_event(Json&& doc, std::set<std::uint64_t>& jobs) {
     if (spec == nullptr || !spec->is_object()) {
       throw std::runtime_error("job event without a \"spec\" object");
     }
+    (void)run::ExperimentSpec::from_json(*spec);  // what replay will parse
     if (!jobs.insert(e.job).second) {
       throw std::runtime_error("job " + std::to_string(e.job) + " is submitted twice");
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "algo/baselines.hpp"
 #include "algo/kknps.hpp"
 #include "sched/asynchronous.hpp"
@@ -171,6 +174,29 @@ TEST(Engine, RunUntilConvergedStopsEarly) {
   Engine engine({{0.0, 0.0}, {0.4, 0.0}, {0.8, 0.0}}, kknps, sched, exact_config(1.0));
   EXPECT_TRUE(engine.run_until_converged(1e-3, 200000, 16));
   EXPECT_LE(engine.current_diameter(), 1e-3);
+}
+
+/// The stop rule's box test answers current_diameter() <= eps on every
+/// snapshot path, at and around the current diameter.
+TEST(Engine, DiameterAtMostMatchesCurrentDiameter) {
+  for (const SnapshotPath path :
+       {SnapshotPath::kIncremental, SnapshotPath::kRebuild, SnapshotPath::kScan}) {
+    const algo::KknpsAlgorithm kknps;
+    sched::FSyncScheduler sched(9);
+    EngineConfig config = exact_config(1.0);
+    config.snapshot_path = path;
+    std::vector<Vec2> start;
+    for (int i = 0; i < 9; ++i) start.push_back({0.3 * (i % 3), 0.35 * (i / 3)});
+    Engine engine(start, kknps, sched, config);
+    for (int round = 0; round < 12; ++round) {
+      const double d = engine.current_diameter();
+      for (const double eps : {0.5 * d, d * (1.0 - 2e-9), std::nextafter(d, 0.0), d,
+                               std::nextafter(d, 2.0 * d), d * (1.0 + 2e-9), 2.0 * d}) {
+        EXPECT_EQ(engine.diameter_at_most(eps), d <= eps) << "round " << round << " eps " << eps;
+      }
+      engine.run(9);
+    }
+  }
 }
 
 TEST(Engine, RunUntilHonorsSimulatedTimeBudget) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 
 #include "geometry/angles.hpp"
@@ -121,9 +123,10 @@ TEST(LocalFrame, ReflectionPreservesDistances) {
   }
 }
 
-/// LocalFrame::sample and perceive as they read before the frame kept its
-/// rotation's cos and sin: the same draws from the RNG, and the rotation
-/// through Vec2::rotated.
+/// LocalFrame::sample, perceive and intent_to_global as they read before
+/// the frame kept its rotation's cos and sin: the same draws from the RNG,
+/// the rotation through Vec2::rotated, and every Look in polar form. Skewed
+/// frames still compute exactly this.
 struct ReferenceFrame {
   ReferenceFrame(const ErrorModel& model, std::mt19937_64& rng) {
     if (model.random_rotation) rotation = std::uniform_real_distribution<double>(0.0, kTwoPi)(rng);
@@ -143,21 +146,43 @@ struct ReferenceFrame {
     if (delta > 0.0) perceived_d = d * (1.0 + std::uniform_real_distribution<double>(-delta, delta)(rng));
     return geom::unit(distortion.apply(v.angle())) * perceived_d;
   }
+  Vec2 intent_to_global(Vec2 v) const {
+    const double d = v.norm();
+    if (d == 0.0) return {0.0, 0.0};
+    v = (geom::unit(distortion.invert(v.angle())) * d).rotated(-rotation);
+    if (reflect) v.y = -v.y;
+    return v;
+  }
   double rotation = 0.0;
   bool reflect = false;
   SymmetricDistortion distortion;
   double delta = 0.0;
 };
 
+void expect_same_bits(Vec2 got, Vec2 want, int trial, int i) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.x), std::bit_cast<std::uint64_t>(want.x))
+      << "trial " << trial << " neighbour " << i;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.y), std::bit_cast<std::uint64_t>(want.y))
+      << "trial " << trial << " neighbour " << i;
+}
+
+/// The model of trial `trial`: every mix of rotation, reflection and
+/// distance error, with the given skew.
+ErrorModel trial_model(int trial, double skew) {
+  ErrorModel model;
+  model.random_rotation = trial % 4 != 3;
+  model.allow_reflection = trial % 3 == 0;
+  model.skew_lambda = skew;
+  model.distance_delta = trial % 2 == 0 ? 0.0 : 0.2;
+  return model;
+}
+
+/// Skewed frames keep the polar Look: bit for bit the reference above.
 TEST(LocalFrame, PerceiveIsBitIdenticalToRotatedFormula) {
   std::mt19937_64 pick(21);
   std::uniform_real_distribution<double> u(-3.0, 3.0);
   for (int trial = 0; trial < 400; ++trial) {
-    ErrorModel model;
-    model.random_rotation = trial % 4 != 3;
-    model.allow_reflection = trial % 3 == 0;
-    model.skew_lambda = trial % 5 == 0 ? 0.0 : 0.45;
-    model.distance_delta = trial % 2 == 0 ? 0.0 : 0.2;
+    const ErrorModel model = trial_model(trial, 0.45);
     const auto seed = static_cast<std::uint64_t>(trial) * 7919 + 3;
     std::mt19937_64 rng(seed), ref_rng(seed);
     const LocalFrame frame = LocalFrame::sample(model, rng);
@@ -166,12 +191,74 @@ TEST(LocalFrame, PerceiveIsBitIdenticalToRotatedFormula) {
     ASSERT_EQ(frame.reflected(), ref.reflect);
     for (int i = 0; i < 16; ++i) {
       const Vec2 offset = i == 0 ? Vec2{0.0, 0.0} : Vec2{u(pick), u(pick)};
-      const Vec2 got = frame.perceive(offset, rng);
-      const Vec2 want = ref.perceive(offset, ref_rng);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.x), std::bit_cast<std::uint64_t>(want.x))
-          << "trial " << trial << " neighbour " << i;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.y), std::bit_cast<std::uint64_t>(want.y))
-          << "trial " << trial << " neighbour " << i;
+      expect_same_bits(frame.perceive(offset, rng), ref.perceive(offset, ref_rng), trial, i);
+      expect_same_bits(frame.intent_to_global(offset), ref.intent_to_global(offset), trial, i);
+    }
+  }
+}
+
+/// An unskewed frame reflects, rotates with cos and sin of its rotation,
+/// and scales by the drawn distance factor, all in Cartesian form.
+TEST(LocalFrame, UnskewedPerceiveIsReflectThenRotateThenScale) {
+  std::mt19937_64 pick(22);
+  std::uniform_real_distribution<double> u(-3.0, 3.0);
+  for (int trial = 0; trial < 400; ++trial) {
+    const ErrorModel model = trial_model(trial, 0.0);
+    const auto seed = static_cast<std::uint64_t>(trial) * 7919 + 5;
+    std::mt19937_64 rng(seed), ref_rng(seed);
+    const LocalFrame frame = LocalFrame::sample(model, rng);
+    const ReferenceFrame ref(model, ref_rng);
+    const double c = std::cos(ref.rotation), s = std::sin(ref.rotation);
+    for (int i = 1; i < 16; ++i) {
+      Vec2 want{u(pick), u(pick)};
+      const Vec2 offset = want;
+      if (ref.reflect) want.y = -want.y;
+      want = {c * want.x - s * want.y, s * want.x + c * want.y};
+      if (ref.delta > 0.0) {
+        want *= 1.0 + std::uniform_real_distribution<double>(-ref.delta, ref.delta)(ref_rng);
+      }
+      expect_same_bits(frame.perceive(offset, rng), want, trial, i);
+    }
+    EXPECT_EQ(rng, ref_rng) << "trial " << trial;
+  }
+}
+
+/// A zero offset has no direction to distort: perceive returns it without
+/// drawing its distance error, skewed or not.
+TEST(LocalFrame, ZeroOffsetDrawsNothing) {
+  for (int trial = 0; trial < 8; ++trial) {
+    ErrorModel model = trial_model(trial, trial < 4 ? 0.0 : 0.3);
+    model.distance_delta = 0.1;
+    std::mt19937_64 rng(static_cast<std::uint64_t>(trial) + 40);
+    const LocalFrame frame = LocalFrame::sample(model, rng);
+    const std::mt19937_64 before = rng;
+    const Vec2 seen = frame.perceive({0.0, 0.0}, rng);
+    EXPECT_EQ(seen.x, 0.0);
+    EXPECT_EQ(seen.y, 0.0);
+    EXPECT_EQ(rng, before) << "trial " << trial;
+    const Vec2 back = frame.intent_to_global({0.0, 0.0});
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.x), 0u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.y), 0u);
+  }
+}
+
+/// intent_to_global inverts an exact unskewed perceive to within a few
+/// ulps of the offset's length, mirrored frames included.
+TEST(LocalFrame, UnskewedIntentInvertsPerceiveWithinUlps) {
+  std::mt19937_64 pick(23);
+  std::uniform_real_distribution<double> u(-3.0, 3.0);
+  for (int trial = 0; trial < 400; ++trial) {
+    ErrorModel model = trial_model(trial, 0.0);
+    model.distance_delta = 0.0;
+    model.allow_reflection = trial % 2 == 0;
+    std::mt19937_64 rng(static_cast<std::uint64_t>(trial) + 90);
+    const LocalFrame frame = LocalFrame::sample(model, rng);
+    for (int i = 0; i < 16; ++i) {
+      const Vec2 v{u(pick), u(pick)};
+      const Vec2 back = frame.intent_to_global(frame.perceive(v, rng));
+      const double ulp = std::numeric_limits<double>::epsilon() * v.norm();
+      EXPECT_LE(std::abs(back.x - v.x), 4.0 * ulp) << "trial " << trial << " offset " << i;
+      EXPECT_LE(std::abs(back.y - v.y), 4.0 * ulp) << "trial " << trial << " offset " << i;
     }
   }
 }

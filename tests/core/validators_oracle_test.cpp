@@ -4,6 +4,7 @@
 // 1e-12 backward-slack Look script.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -96,6 +97,32 @@ TEST(ValidatorsOracle, RandomEpsilonBoundaryTracesAgree) {
   EXPECT_GT(agree.crossing_traces, agree.traces / 10);
   EXPECT_GT(agree.traces - agree.crossing_traces, agree.traces / 10);
   EXPECT_GT(agree.nonzero_k_traces, agree.traces / 4);
+}
+
+/// The validators sort only traces that are out of Look order. The same
+/// records in Look order (the sort skipped) and shuffled (the sort run)
+/// give the oracle's verdicts.
+TEST(ValidatorsOracle, ShuffledAndOrderedTracesAgree) {
+  Agreement agree;
+  std::mt19937_64 shuffle(7);
+  for (std::uint64_t seed = 0; seed < 4000; ++seed) {
+    const Trace t = random_boundary_trace(seed);
+    std::vector<ActivationRecord> records = t.records();
+    std::ranges::stable_sort(records, {}, &ActivationRecord::start);
+    Trace ordered{t.initial_configuration()};
+    for (const ActivationRecord& r : records) ordered.record(r);
+    std::ranges::shuffle(records, shuffle);
+    Trace shuffled{t.initial_configuration()};
+    for (const ActivationRecord& r : records) shuffled.record(r);
+    const std::string label = "seed " + std::to_string(seed);
+    agree.check(ordered, label + " in order");
+    agree.check(shuffled, label + " shuffled");
+    EXPECT_EQ(max_activations_within_interval(ordered), max_activations_within_interval(shuffled))
+        << label;
+    EXPECT_EQ(is_nested_activation(ordered), is_nested_activation(shuffled)) << label;
+  }
+  EXPECT_EQ(agree.k_mismatches, 0u);
+  EXPECT_EQ(agree.nest_mismatches, 0u);
 }
 
 TEST(ValidatorsOracle, HandWrittenBoundaryCasesAgree) {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -26,10 +27,12 @@
 #include "core/spatial_index.hpp"
 #include "core/visibility.hpp"
 #include "geometry/angles.hpp"
+#include "geometry/convex_hull.hpp"
 
 namespace cohesion {
 namespace {
 
+using core::DiameterCut;
 using core::HypotCut;
 using core::kVisibilityEpsilon;
 using core::NormMaxFilter;
@@ -255,6 +258,80 @@ void expect_kknps_matches(const algo::KknpsAlgorithm& algo, const core::Snapshot
   const Vec2 want = hypot_kknps(algo.params(), s);
   ASSERT_TRUE(same_bits(got.x, want.x) && same_bits(got.y, want.y))
       << "trial " << trial << ": " << got << " vs " << want;
+}
+
+std::optional<bool> box_decision(const std::vector<Vec2>& pts, double eps) {
+  DiameterCut cut(eps);
+  for (const Vec2 p : pts) cut.add(p);
+  return cut.decided();
+}
+
+/// Sets whose diameter, longer box side or box diagonal sits within a few
+/// band widths of epsilon, in every orientation, far from and near the
+/// origin: where the box decides, it answers geom::set_diameter(...) <= eps.
+TEST(DiameterCut, AgreesWithSetDiameterAtTheEdgeOfTheBand) {
+  std::mt19937_64 rng(43);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::uniform_real_distribution<double> turn(0.0, geom::kTwoPi);
+  std::size_t decided = 0, asked = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    // A needle, a pair, or a cloud; turned, then moved off the origin.
+    std::vector<Vec2> pts;
+    const int shape = trial % 3;
+    const std::size_t n = shape == 1 ? 2 : 24;
+    for (std::size_t i = 0; i < n; ++i) {
+      pts.push_back(shape == 0 ? Vec2{u(rng), 1e-7 * u(rng)} : Vec2{u(rng), u(rng)});
+    }
+    const double angle = trial % 4 == 0 ? 0.0 : turn(rng);
+    const Vec2 at = trial % 5 == 0 ? Vec2{0.0, 0.0} : Vec2{1e3 * u(rng), 1e3 * u(rng)};
+    for (Vec2& p : pts) p = p.rotated(angle) + at;
+
+    // epsilon around each quantity the cut compares, at offsets across
+    // the 1e-9 band: the diameter, the longer side, the diagonal.
+    double min_x = pts[0].x, max_x = pts[0].x, min_y = pts[0].y, max_y = pts[0].y;
+    for (const Vec2 p : pts) {
+      min_x = std::min(min_x, p.x);
+      max_x = std::max(max_x, p.x);
+      min_y = std::min(min_y, p.y);
+      max_y = std::max(max_y, p.y);
+    }
+    const double w = max_x - min_x, h = max_y - min_y;
+    const double d = geom::set_diameter(pts);
+    for (const double target : {d, std::max(w, h), std::hypot(w, h)}) {
+      for (const double rel : {-0.5, -4e-9, -1.1e-9, -1e-9, -0.9e-9, -1e-12, 0.0, 1e-12, 0.9e-9,
+                               1e-9, 1.1e-9, 4e-9, 0.5}) {
+        for (const double eps : {target * (1.0 + rel), std::nextafter(target * (1.0 + rel), 0.0),
+                                 std::nextafter(target * (1.0 + rel), 2.0 * target)}) {
+          const std::optional<bool> box = box_decision(pts, eps);
+          if (!box) {
+            ++asked;
+            continue;
+          }
+          ++decided;
+          ASSERT_EQ(*box, d <= eps) << "trial " << trial << " eps " << eps << " diameter " << d;
+        }
+      }
+    }
+  }
+  // Both sides of the cut are exercised.
+  EXPECT_GT(decided, 0u);
+  EXPECT_GT(asked, 0u);
+}
+
+TEST(DiameterCut, DecidesClearCasesAndLeavesTheBandToTheHull) {
+  const std::vector<Vec2> unit_square{{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
+  EXPECT_EQ(box_decision(unit_square, 0.99), std::optional<bool>(false));  // a longer side
+  EXPECT_EQ(box_decision(unit_square, 1.42), std::optional<bool>(true));  // a shorter diagonal
+  EXPECT_EQ(box_decision(unit_square, 1.2), std::nullopt);  // between side and diagonal
+  EXPECT_EQ(box_decision(unit_square, 1.0), std::nullopt);  // a side inside the band
+  EXPECT_EQ(box_decision({{0.5, 0.5}}, 1e-3), std::optional<bool>(true));
+  EXPECT_EQ(box_decision({}, 1e-3), std::nullopt);
+  // epsilon outside [2^-450, 2^450], or a non-finite point: no decision.
+  for (const double eps : {0.0, -1.0, 1e-300, 1e300, std::nan("")}) {
+    EXPECT_EQ(box_decision(unit_square, eps), std::nullopt) << eps;
+  }
+  EXPECT_EQ(box_decision({{0.0, 0.0}, {std::nan(""), 0.0}}, 10.0), std::nullopt);
+  EXPECT_EQ(box_decision({{0.0, 0.0}, {HUGE_VAL, 0.0}}, 10.0), std::nullopt);
 }
 
 TEST(KknpsBand, ComputeMatchesTheHypotLoopsIncludingNonFinitePositions) {

@@ -84,25 +84,25 @@ TEST(GoldenTrace, PinnedSpecsReproduceTheirTraceAndReportBytes) {
   const std::string async = R"({"type": "async", "params": {"xi": 0.5}})";
   const std::vector<GoldenCase> cases = {
       golden("fsync_closed_exact", 96, fsync, false, false, grid,
-             0x339603af9714ed8aull, {0x084cf0a11994f577ull, 0x901fa0cb2a6c33c4ull}),
+             0x62aac0b6db721b45ull, {0xa1ba6b8439a99034ull, 0x626d496fd6727bf9ull}),
       golden("fsync_open_noisy", 24, fsync, true, true, random,
-             0xb94e5e7b18e1d857ull, {0x86039e71098def7bull, 0x8316ad18466f8be2ull}),
+             0x3c6119ba72bd86ceull, {0xe4951fef4a8fa99bull, 0xab69359749b1ed74ull}),
       golden("ssync_closed_noisy", 80, ssync, false, true, grid,
-             0x10ef4dd48d20b6fcull, {0x1454383f91d983feull, 0xa64b244b77eba455ull}),
+             0xd9c8fd2736b2c15eull, {0xf979c13763909ed2ull, 0x84083c935c859137ull}),
       golden("ssync_open_exact", 24, ssync, true, false, random,
-             0xb7667002d6cd147cull, {0xe156b93d5ccb6afeull, 0xa214317743bb3d29ull}),
+             0xdd0461d01b1c583cull, {0x2d7d1924b57ff191ull, 0x751697a0d00b6d36ull}),
       golden("kasync_closed_exact", 24, kasync, false, false, random,
-             0x1b6c65ead81a2c0dull, {0x5c4b959176ee5745ull, 0xbebd5a7c7c23cb8eull}),
+             0x08ebf1909c1b4699ull, {0xfb9f292208f32625ull, 0xa987c4951bc2eb7eull}),
       golden("kasync_open_noisy", 96, kasync, true, true, grid,
-             0x8b5df7c16bb4f3deull, {0x253b567cc873feffull, 0x3270980b105db079ull}),
+             0xcd955bc49533a08full, {0x90657887172908e0ull, 0x57f544dce06b35cfull}),
       golden("knesta_closed_noisy", 24, knesta, false, true, random,
-             0x2509aeb2f9ff891aull, {0x3b1eaf4d3b5dbbfeull, 0x0e78dd75fd91854aull}),
+             0xbea78fea980f9158ull, {0xca6d87898badac2bull, 0xb915cd87b896dabaull}),
       golden("knesta_open_exact", 80, knesta, true, false, grid,
-             0x64bd811a0d780e0full, {0x09d5b843bf784a6cull, 0x146043ce61f9bb1aull}),
+             0x1790a68bc616acb0ull, {0x804f48d64284f3afull, 0x11f985b7c920724dull}),
       golden("async_closed_noisy", 80, async, false, true, grid,
-             0xf875ddbb5a368eebull, {0x1a01c5345e4a2a12ull, 0x587d4ef421537583ull}),
+             0x35895b1e2fce34ebull, {0xe7a78442f7bb855full, 0xa25fc222884372c6ull}),
       golden("async_open_exact", 24, async, true, false, random,
-             0x019d6f3a482a33e4ull, {0x80513df1c2c46334ull, 0xf8c993c9e8f1113eull}),
+             0x4fd77fa910da16bbull, {0x40bc29cdc382e75cull, 0x87ff7d5b2772a682ull}),
   };
 
   const fs::path dir =

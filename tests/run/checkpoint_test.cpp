@@ -168,10 +168,10 @@ TEST(Checkpoint, StaleCheckpointIsRejectedWithActionableError) {
 }
 
 TEST(Checkpoint, PreBumpDynamicsJournalIsRefused) {
-  // A journal written before the last kDynamicsVersion bump holds outcomes
-  // of the old seeded stream; resuming from it would mix two streams. Its
-  // header carries the fingerprint of the unversioned hash over the same
-  // runs, which must be refused by the named cause.
+  // A journal written before the last kDynamicsVersion bump (2) holds
+  // outcomes of the old seeded stream; resuming from it would mix two
+  // streams. Its header carries the version-1 fingerprint of the same runs,
+  // which must be refused by the named cause.
   const ExperimentSpec e = checkpoint_sweep();
   std::uint64_t h = 0xCBF29CE484222325ull;
   const auto fnv = [&](const std::string& text) {
@@ -180,6 +180,7 @@ TEST(Checkpoint, PreBumpDynamicsJournalIsRefused) {
       h *= 0x100000001B3ull;
     }
   };
+  fnv("dynamics=1;");
   for (const ExpandedRun& run : e.expand()) {
     fnv(std::to_string(run.index) + ":" + run.spec.to_json().dump() + ";");
   }

@@ -285,11 +285,11 @@ TEST(Fingerprint, HexRenderingIsStable) {
 
 TEST(Fingerprint, DynamicsVersionSeparatesPreBumpHashes) {
   // Both identities hash kDynamicsVersion ahead of the spec bytes, so a
-  // stream header or cache entry keyed by the unversioned hash of the same
-  // spec (written before the bump) never matches.
-  const auto unversioned = [](const RunSpec& hashed) {
+  // stream header or cache entry keyed by the version-1 hash of the same
+  // spec (written before the bump to 2) never matches.
+  const auto hash_at = [](const std::string& version, const RunSpec& hashed) {
     std::uint64_t h = 1469598103934665603ull;  // the offset spec.cpp hashes with
-    for (const char c : hashed.to_json().dump()) {
+    for (const char c : "dynamics=" + version + ";" + hashed.to_json().dump()) {
       h ^= static_cast<unsigned char>(c);
       h *= 1099511628211ull;
     }
@@ -297,9 +297,13 @@ TEST(Fingerprint, DynamicsVersionSeparatesPreBumpHashes) {
   };
   RunSpec s = sample_spec();
   s.trace = TraceSpec{};
-  EXPECT_NE(spec_fingerprint(s), unversioned(s));
+  // The recipe reproduces the current hash, so the pre-bump one differs
+  // from it in the version tag alone.
+  EXPECT_EQ(spec_fingerprint(s), hash_at("2", s));
+  EXPECT_NE(spec_fingerprint(s), hash_at("1", s));
   s.name = RunSpec{}.name;
-  EXPECT_NE(run_identity(s), unversioned(s));
+  EXPECT_EQ(run_identity(s), hash_at("2", s));
+  EXPECT_NE(run_identity(s), hash_at("1", s));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "run/checkpoint.hpp"
 #include "run/exit_codes.hpp"
 #include "run/line_log.hpp"
+#include "run/spec.hpp"
 #include "serve/ledger.hpp"
 
 namespace cohesion::run {
@@ -233,7 +234,10 @@ TEST(LineLogFuzz, JobLedgerRefusesByNameOrLoadsExactlyTheCompleteLines) {
     };
     Json job = event("job", 1);
     job.set("name", "sweep");
-    job.set("spec", Json::parse(R"({"name":"sweep","repeats":2})"));
+    ExperimentSpec spec;
+    spec.name = "sweep";
+    spec.repeats = 2;
+    job.set("spec", spec.to_json());
     job.set("total_runs", 6);
     ledger->append(job);
     for (const std::size_t index : {0u, 3u}) {

@@ -192,10 +192,10 @@ TEST(ResultCache, CorruptEntriesAreRejectedByNameAndRecomputed) {
   }
 }
 
-/// An entry written before the last kDynamicsVersion bump sits under the
-/// unversioned identity of the same spec. It holds an old-stream outcome,
-/// so it must never be served: the lookup misses (not a reject — the entry
-/// is simply not at the current address) and the outcome is recomputed.
+/// An entry written before the last kDynamicsVersion bump (2) sits under the
+/// version-1 identity of the same spec. It holds an old-stream outcome, so
+/// it must never be served: the lookup misses (not a reject — the entry is
+/// simply not at the current address) and the outcome is recomputed.
 TEST(ResultCache, PreBumpDynamicsEntryIsNotServed) {
   TempDir dir("prebump");
   const ExperimentSpec e = pinned_seed_experiment("prebump", 300, 2);
@@ -209,7 +209,7 @@ TEST(ResultCache, PreBumpDynamicsEntryIsNotServed) {
     hashed.trace = TraceSpec{};
     hashed.name = RunSpec{}.name;
     std::uint64_t h = 1469598103934665603ull;  // the offset spec.cpp hashes with
-    for (const char c : hashed.to_json().dump()) {
+    for (const char c : "dynamics=1;" + hashed.to_json().dump()) {
       h ^= static_cast<unsigned char>(c);
       h *= 1099511628211ull;
     }

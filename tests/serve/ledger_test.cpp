@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "run/exit_codes.hpp"
+#include "run/spec.hpp"
 
 namespace cohesion::serve {
 namespace {
@@ -42,12 +43,16 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
+/// A job event as the daemon ledgers it: the experiment echo of its spec.
 Json job_event(std::uint64_t id) {
+  run::ExperimentSpec spec;
+  spec.name = "n" + std::to_string(id);
+  spec.repeats = 4;
   Json e = Json::object();
   e.set("event", "job");
   e.set("job", id);
-  e.set("name", "n" + std::to_string(id));
-  e.set("spec", Json::object());
+  e.set("name", spec.name);
+  e.set("spec", spec.to_json());
   e.set("total_runs", 4);
   return e;
 }
@@ -190,6 +195,8 @@ TEST(JobLedgerTest, EventsOutsideTheSchemaAreRefusedNamingTheirLine) {
   for (const auto& [bad, cause] : std::vector<std::pair<std::string, std::string>>{
            {R"({"event":"bogus","job":1})", "unknown event \"bogus\""},
            {R"({"event":"job","job":1,"name":"x"})", "\"spec\""},
+           {R"({"event":"job","job":2,"spec":{"repeats":"two"}})", "\"base\""},
+           {R"({"event":"job","job":2,"spec":{"base":{"n":"four"}}})", "not a ledger event"},
            {R"({"event":"outcome","job":1})", "\"run\""},
            {R"({"event":"outcome","job":1,"run":{"index":0}})", "not a ledger event"},
            {R"({"job":1})", "no \"event\" field"},
