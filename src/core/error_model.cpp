@@ -55,19 +55,11 @@ LocalFrame LocalFrame::sample(const ErrorModel& model, std::mt19937_64& rng) {
 
 LocalFrame LocalFrame::identity() { return LocalFrame{}; }
 
-Vec2 LocalFrame::perceive(Vec2 true_offset, std::mt19937_64& rng) const {
-  Vec2 v = true_offset;
-  if (reflect_) v.y = -v.y;
-  // Vec2::rotated(rotation_)'s arithmetic, with the frame's cos and sin.
-  v = {cos_ * v.x - sin_ * v.y, sin_ * v.x + cos_ * v.y};
-  if (v.x == 0.0 && v.y == 0.0) return v;  // no direction: no distortion, no draw
+Vec2 LocalFrame::distort(Vec2 v, std::mt19937_64& rng) const {
   if (distortion_.skew() == 0.0) {
     // Only the distance error acts: scale the Cartesian vector, no polar form.
-    if (distance_delta_ > 0.0) {
-      std::uniform_real_distribution<double> noise(-distance_delta_, distance_delta_);
-      v *= 1.0 + noise(rng);
-    }
-    return v;
+    std::uniform_real_distribution<double> noise(-distance_delta_, distance_delta_);
+    return v * (1.0 + noise(rng));
   }
   const double d = v.norm();
   double theta = v.angle();

@@ -69,8 +69,18 @@ class LocalFrame {
   /// Map a true global displacement (neighbour - self) into perceived local
   /// coordinates, applying rotation/reflection, angle distortion and a fresh
   /// per-observation distance error drawn from `rng`. A zero offset is
-  /// returned as is, without a draw.
-  [[nodiscard]] geom::Vec2 perceive(geom::Vec2 true_offset, std::mt19937_64& rng) const;
+  /// returned as is, without a draw. Inline, so the engine's per-neighbour
+  /// loop keeps the offset in registers; only skew and distance error leave
+  /// it, for distort().
+  [[nodiscard]] geom::Vec2 perceive(geom::Vec2 true_offset, std::mt19937_64& rng) const {
+    geom::Vec2 v = true_offset;
+    if (reflect_) v.y = -v.y;
+    // Vec2::rotated(rotation_)'s arithmetic, with the frame's cos and sin.
+    v = {cos_ * v.x - sin_ * v.y, sin_ * v.x + cos_ * v.y};
+    if (v.x == 0.0 && v.y == 0.0) return v;  // no direction: no distortion, no draw
+    if (distortion_.skew() == 0.0 && !(distance_delta_ > 0.0)) return v;
+    return distort(v, rng);
+  }
 
   /// Map an intended local destination back to a true global displacement.
   /// Distance is preserved; the angle passes through the inverse distortion
@@ -82,6 +92,10 @@ class LocalFrame {
   [[nodiscard]] bool reflected() const { return reflect_; }
 
  private:
+  /// perceive's angle distortion and distance error, applied to the
+  /// non-zero rotated offset `v`: one draw when distance_delta_ > 0.
+  [[nodiscard]] geom::Vec2 distort(geom::Vec2 v, std::mt19937_64& rng) const;
+
   double rotation_ = 0.0;
   double cos_ = 1.0;  ///< std::cos(rotation_), computed once per frame
   double sin_ = 0.0;  ///< std::sin(rotation_)

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/spatial_index.hpp"
@@ -27,13 +28,21 @@ struct Snapshot {
 
   /// Perceived distance to the furthest visible neighbour — the paper's
   /// working lower bound V_Y on the (unknown) visibility radius. Bitwise
-  /// the max of hypot over the neighbours; hypot is evaluated only for
-  /// neighbours that NormMaxFilter cannot rule out.
+  /// the max of hypot over the neighbours, with hypot evaluated only where
+  /// the squared norm is not below top·(1 - kHypotBand), top being the
+  /// largest one: by HypotCut's argument every other neighbour is provably
+  /// closer than the one whose square is top. The cut needs top in
+  /// [kMinBandSquare, kMaxBandSquare]; otherwise every neighbour is
+  /// evaluated. A NaN square never raises top and always passes the cut.
   [[nodiscard]] double furthest_distance() const {
+    double top = 0.0;
+    for (const auto& o : neighbours) top = std::max(top, o.position.norm2());
+    const double cut = top >= kMinBandSquare && top <= kMaxBandSquare
+                           ? top * (1.0 - kHypotBand)
+                           : -std::numeric_limits<double>::infinity();
     double best = 0.0;
-    NormMaxFilter furthest;
     for (const auto& o : neighbours) {
-      if (furthest.admits(o.position)) best = std::max(best, o.position.norm());
+      if (!(o.position.norm2() < cut)) best = std::max(best, o.position.norm());
     }
     return best;
   }

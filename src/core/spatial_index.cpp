@@ -203,7 +203,7 @@ void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
   const std::size_t cells = width_ * height_;
   scan(cell_start_[cells], cell_start_[cells + 1]);
   // Ids ascend within a bucket, not across buckets.
-  std::sort(out.begin(), out.end());
+  sort_by_id(out, [](std::size_t id) { return id; });
 }
 
 // ---------------------------------------------------------------------------
@@ -446,8 +446,7 @@ void IncrementalGrid::visible_near(geom::Vec2 q, double r, const VisibilityBall&
   // in several cells, with the same offset each time; ids must come out
   // ascending and unique so the caller's RNG-drawing perception loop sees
   // the brute-force order.
-  std::sort(out.begin(), out.end(),
-            [](const VisibleRobot& a, const VisibleRobot& b) { return a.id < b.id; });
+  sort_by_id(out, [](const VisibleRobot& v) { return v.id; });
   out.erase(std::unique(out.begin(), out.end(),
                         [](const VisibleRobot& a, const VisibleRobot& b) { return a.id == b.id; }),
             out.end());

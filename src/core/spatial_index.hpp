@@ -9,9 +9,10 @@
 // d <= r + 1e-12, or open ball d < r, with d = std::hypot of the coordinate
 // differences) to each candidate. The grid therefore changes which pairs
 // are examined, never the predicate, so results are bit-identical to a
-// brute-force scan over all points. Returned ids are sorted ascending, so
-// callers that consume neighbors in id order (e.g. the engine's RNG-drawing
-// perception loop) behave identically to the O(n) scan they replace.
+// brute-force scan over all points. Returned ids are sorted ascending
+// (sort_by_id), so callers that consume neighbors in id order (e.g. the
+// engine's RNG-drawing perception loop) behave identically to the O(n)
+// scan they replace.
 //
 // SpatialGrid is a dense row-major cell array over the points' cell
 // bounding box (less a few far outliers, which every query scans), filled
@@ -33,11 +34,15 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "core/segment.hpp"
@@ -51,7 +56,8 @@ namespace cohesion::core {
 inline constexpr double kVisibilityEpsilon = 1e-12;
 
 /// Relative half-width of the band around t² inside which a squared
-/// distance cannot stand in for std::hypot (HypotCut, NormMaxFilter).
+/// distance cannot stand in for std::hypot (HypotCut, NormMaxFilter,
+/// Snapshot::furthest_distance).
 inline constexpr double kHypotBand = 1e-9;
 /// Squares in [kMinBandSquare, kMaxBandSquare] are far from underflow and
 /// overflow, so the band argument below holds for them.
@@ -122,7 +128,8 @@ class VisibilityBall {
   bool open_;
 };
 
-/// Skips the std::hypot calls of a running max over hypot(d). admits(d) is
+/// Skips the std::hypot calls of a running max over hypot(d), for a stream
+/// too long to scan twice (VisiblePairs::worst_stretch). admits(d) is
 /// false only when hypot(d) is provably below the hypot of a vector it
 /// already admitted (d² under the band of that vector's d², by HypotCut's
 /// argument), so a max of any non-decreasing function of hypot over the
@@ -185,6 +192,47 @@ class DiameterCut {
   double min_x_ = kInf, max_x_ = -kInf, min_y_ = kInf, max_y_ = -kInf;
   bool finite_ = true;
 };
+
+/// Most items sort_by_id places by rank.
+inline constexpr std::size_t kRankPlaceMax = 64;
+
+/// Sorts `items` by ascending `id_of(item)`, an unsigned integer, like
+/// std::sort by id. A grid query yields its ids as a few ascending runs in
+/// random order, on which insertion sort mispredicts, so up to
+/// kRankPlaceMax items with ids below 2^26 go straight to their rank: the
+/// count of smaller keys id·64 + input index, counted branch-free in
+/// O(k²). The keys are distinct 32-bit integers even where ids repeat, and
+/// items of one id keep their input order. Any other input goes to
+/// std::sort. Returns true when the items were placed by rank.
+template <class T, class IdOf>
+bool sort_by_id(std::vector<T>& items, IdOf id_of) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const std::size_t k = items.size();
+  if (k == 0) return true;
+  const auto by_id = [&](const T& a, const T& b) { return id_of(a) < id_of(b); };
+  if (k > kRankPlaceMax) {
+    std::sort(items.begin(), items.end(), by_id);
+    return false;
+  }
+  std::array<std::uint32_t, kRankPlaceMax> key{};
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::uint64_t id = id_of(items[i]);
+    if (id >= (std::uint64_t{1} << 26)) {
+      std::sort(items.begin(), items.end(), by_id);
+      return false;
+    }
+    key[i] = static_cast<std::uint32_t>(id << 6 | i);
+  }
+  // Raw storage: T's default member initializers would cost a fill.
+  alignas(T) std::byte placed[kRankPlaceMax * sizeof(T)];
+  for (std::size_t i = 0; i < k; ++i) {
+    std::uint32_t rank = 0;
+    for (std::size_t j = 0; j < k; ++j) rank += key[j] < key[i] ? 1u : 0u;
+    std::memcpy(placed + rank * sizeof(T), &items[i], sizeof(T));
+  }
+  std::memcpy(items.data(), placed, k * sizeof(T));
+  return true;
+}
 
 class SpatialGrid {
  public:

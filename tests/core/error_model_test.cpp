@@ -242,6 +242,28 @@ TEST(LocalFrame, ZeroOffsetDrawsNothing) {
   }
 }
 
+/// perceive draws from the RNG exactly when a distance error acts on a
+/// non-zero offset: once per such offset, skewed or not, and never for an
+/// unskewed exact frame or a zero offset.
+TEST(LocalFrame, DrawsOncePerNonZeroOffsetOnlyUnderDistanceError) {
+  std::mt19937_64 pick(24);
+  std::uniform_real_distribution<double> u(-3.0, 3.0);
+  for (int trial = 0; trial < 48; ++trial) {
+    ErrorModel model = trial_model(trial, trial % 6 < 3 ? 0.0 : 0.3);
+    const bool draws = model.distance_delta > 0.0;
+    std::mt19937_64 rng(static_cast<std::uint64_t>(trial) + 70);
+    const LocalFrame frame = LocalFrame::sample(model, rng);
+    std::mt19937_64 expected = rng;
+    for (int i = 0; i < 16; ++i) {
+      const bool zero = i % 4 == 0;
+      const Vec2 offset = zero ? Vec2{0.0, 0.0} : Vec2{u(pick), u(pick)};
+      (void)frame.perceive(offset, rng);
+      if (draws && !zero) expected.discard(1);
+      ASSERT_EQ(rng, expected) << "trial " << trial << " offset " << i;
+    }
+  }
+}
+
 /// intent_to_global inverts an exact unskewed perceive to within a few
 /// ulps of the offset's length, mirrored frames included.
 TEST(LocalFrame, UnskewedIntentInvertsPerceiveWithinUlps) {

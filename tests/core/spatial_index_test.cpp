@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
@@ -440,6 +442,73 @@ TEST(IncrementalGrid, StaleSettleEntriesAreIgnoredAfterRecommit) {
   ASSERT_EQ(ids_of(got), (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(got[0].offset, Vec2(2.2, 0.0) - Vec2(2.6, 0.0));
   EXPECT_EQ(got[1].offset, Vec2(0.0, 0.0));
+}
+
+/// sort_by_id against the std::sort (then std::unique) it replaces in both
+/// grids: sizes on both sides of kRankPlaceMax, ids with and without
+/// repeats (a repeated id carries one offset, as in visible_near), and a
+/// largest id on both sides of the 2^26 limit of the rank keys and near
+/// the 32- and 64-bit limits, so the rank placement and both std::sort
+/// fallbacks run.
+TEST(SortById, MatchesStdSortThenUniqueOnBothSidesOfEveryFallback) {
+  constexpr std::size_t kSpan = 128;
+  constexpr std::size_t kKeyLimit = std::size_t{1} << 26;
+  const std::size_t bases[] = {0,
+                               kKeyLimit - kSpan,
+                               kKeyLimit - kSpan + 1,
+                               (std::size_t{1} << 32) - kSpan,
+                               std::numeric_limits<std::size_t>::max() - (kSpan - 1)};
+  const auto id_of = [](const VisibleRobot& v) { return v.id; };
+  const auto same_id = [](const VisibleRobot& a, const VisibleRobot& b) { return a.id == b.id; };
+  std::mt19937_64 rng(31);
+  int ranked_runs = 0, sorted_runs = 0;
+  for (const std::size_t k : {0, 1, 2, 63, 64, 65, 100}) {
+    for (const bool repeats : {false, true}) {
+      for (const std::size_t base : bases) {
+        for (int trial = 0; trial < 20; ++trial) {
+          // Offsets from base: distinct, or drawn from a pool of about k/2,
+          // and always including kSpan - 1, so the largest id is known.
+          std::vector<std::size_t> offsets(kSpan - 1);
+          std::iota(offsets.begin(), offsets.end(), 0);
+          std::shuffle(offsets.begin(), offsets.end(), rng);
+          offsets.resize(repeats ? k / 2 : k);
+          offsets.insert(offsets.begin(), kSpan - 1);
+          std::vector<VisibleRobot> items;
+          std::vector<std::size_t> ids;
+          for (std::size_t i = 0; i < k; ++i) {
+            const std::size_t off = repeats && i > 0 ? offsets[rng() % offsets.size()] : offsets[i];
+            items.push_back({base + off, Vec2{static_cast<double>(off), -0.5 * off}});
+            ids.push_back(base + off);
+          }
+          std::shuffle(items.begin(), items.end(), rng);
+          std::shuffle(ids.begin(), ids.end(), rng);
+          const bool rankable = k <= kRankPlaceMax && (k == 0 || base + kSpan - 1 < kKeyLimit);
+
+          std::vector<VisibleRobot> want = items;
+          std::sort(want.begin(), want.end(),
+                    [](const VisibleRobot& a, const VisibleRobot& b) { return a.id < b.id; });
+          want.erase(std::unique(want.begin(), want.end(), same_id), want.end());
+          std::vector<VisibleRobot> got = items;
+          ASSERT_EQ(sort_by_id(got, id_of), rankable) << "k " << k << " base " << base;
+          got.erase(std::unique(got.begin(), got.end(), same_id), got.end());
+          ASSERT_EQ(got.size(), want.size()) << "k " << k << " base " << base;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].id, want[i].id) << "k " << k << " base " << base << " at " << i;
+            ASSERT_EQ(got[i].offset, want[i].offset) << "k " << k << " base " << base;
+          }
+          (rankable ? ranked_runs : sorted_runs) += 1;
+
+          if (repeats) continue;  // SpatialGrid's ids never repeat
+          std::vector<std::size_t> want_ids = ids;
+          std::sort(want_ids.begin(), want_ids.end());
+          ASSERT_EQ(sort_by_id(ids, [](std::size_t id) { return id; }), rankable);
+          ASSERT_EQ(ids, want_ids) << "k " << k << " base " << base;
+        }
+      }
+    }
+  }
+  EXPECT_GT(ranked_runs, 0);
+  EXPECT_GT(sorted_runs, 0);
 }
 
 TEST(KinematicState, MatchesTraceReplayBitExactly) {

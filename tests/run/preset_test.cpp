@@ -5,6 +5,7 @@
 #include "run/preset.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -21,7 +22,9 @@ namespace fs = std::filesystem;
 class TempDir {
  public:
   explicit TempDir(const std::string& tag)
-      : path_((fs::temp_directory_path() / ("cohesion_preset_" + tag)).string()) {
+      : path_((fs::temp_directory_path() /
+               ("cohesion_preset_" + tag + "_" + std::to_string(::getpid())))
+                  .string()) {
     fs::remove_all(path_);
     fs::create_directories(path_);
   }

@@ -14,6 +14,7 @@
 #include "run/result_cache.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -33,7 +34,9 @@ namespace fs = std::filesystem;
 class TempDir {
  public:
   explicit TempDir(const std::string& tag)
-      : path_((fs::temp_directory_path() / ("cohesion_result_cache_" + tag)).string()) {
+      : path_((fs::temp_directory_path() /
+               ("cohesion_result_cache_" + tag + "_" + std::to_string(::getpid())))
+                  .string()) {
     fs::remove_all(path_);
     fs::create_directories(path_);
   }

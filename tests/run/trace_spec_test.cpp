@@ -4,6 +4,7 @@
 // trace fields, instantiate()'s mode validation, and the BatchRunner
 // stream path producing byte-identical reports plus replayable files.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -23,7 +24,9 @@ namespace fs = std::filesystem;
 class TempDir {
  public:
   explicit TempDir(const std::string& tag)
-      : path_((fs::temp_directory_path() / ("cohesion_trace_spec_" + tag)).string()) {
+      : path_((fs::temp_directory_path() /
+               ("cohesion_trace_spec_" + tag + "_" + std::to_string(::getpid())))
+                  .string()) {
     fs::create_directories(path_);
   }
   ~TempDir() { fs::remove_all(path_); }

@@ -5,6 +5,7 @@
 // algorithms and configurations through the full
 // writer -> reader -> accumulator round trip.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -37,8 +38,9 @@ using geom::Vec2;
 class TempFile {
  public:
   explicit TempFile(const std::string& tag)
-      : path_(
-            (fs::temp_directory_path() / ("cohesion_online_test_" + tag + ".cohtrace")).string()) {}
+      : path_((fs::temp_directory_path() /
+               ("cohesion_online_test_" + tag + "_" + std::to_string(::getpid()) + ".cohtrace"))
+                  .string()) {}
   ~TempFile() { fs::remove(path_); }
   [[nodiscard]] const std::string& path() const { return path_; }
 

@@ -3,6 +3,7 @@
 // fan-out, and the reader's actionable rejections (foreign magic,
 // unsupported version, corrupt header).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -30,7 +31,9 @@ using geom::Vec2;
 class TempFile {
  public:
   explicit TempFile(const std::string& tag)
-      : path_((fs::temp_directory_path() / ("cohesion_stream_io_" + tag + ".cohtrace")).string()) {}
+      : path_((fs::temp_directory_path() /
+               ("cohesion_stream_io_" + tag + "_" + std::to_string(::getpid()) + ".cohtrace"))
+                  .string()) {}
   ~TempFile() { fs::remove(path_); }
   [[nodiscard]] const std::string& path() const { return path_; }
 

@@ -4,6 +4,7 @@
 // stream reported truncated. Same for a flipped byte: the frame checksum
 // catches it and iteration stops at the last intact frame.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -31,8 +32,9 @@ constexpr std::size_t kIndexEvery = 16;
 class TempFile {
  public:
   explicit TempFile(const std::string& tag)
-      : path_((fs::temp_directory_path() / ("cohesion_trunc_fuzz_" + tag + ".cohtrace")).string()) {
-  }
+      : path_((fs::temp_directory_path() /
+               ("cohesion_trunc_fuzz_" + tag + "_" + std::to_string(::getpid()) + ".cohtrace"))
+                  .string()) {}
   ~TempFile() { fs::remove(path_); }
   [[nodiscard]] const std::string& path() const { return path_; }
 
@@ -187,6 +189,7 @@ TEST(TruncationFuzz, FlippedPayloadByteStopsAtLastIntactFrame) {
     // Flip a byte in the middle of the victim frame's payload.
     const std::size_t frame_end = fx.frame_ends[victim];
     const std::size_t at = frame_end - frame_size(kActivationPayloadSize) + 5 + 17;
+    ASSERT_LT(at, bytes.size()) << "the fixture stream is shorter than its layout";
     bytes[at] = static_cast<char>(bytes[at] ^ 0x08);
     TempFile corrupt("bitflip");
     write_prefix(corrupt.path(), bytes, bytes.size());
