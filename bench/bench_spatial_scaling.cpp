@@ -23,7 +23,10 @@
 // bounding box is compact (0: lattice), spread along a curve (1: circle of
 // side 0.9 V, 2: L-shaped chain) or stretched by one far robot (3: lattice
 // plus a robot 5n V away, 4: ... 1e9 V away), i.e. the inputs that take the
-// grid's coarsened-cell and outlier paths.
+// grid's coarsened-cell and outlier paths. BM_IncrementalQuery/<layout>
+// times IncrementalGrid the same way — one reset (which fits its cell
+// array by the same rule) plus one r = V visible_near per robot — on the
+// same five layouts.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -131,6 +134,25 @@ void BM_GridQuery(benchmark::State& state) {
       static_cast<double>(found) / static_cast<double>(state.iterations() * pts.size());
 }
 
+void BM_IncrementalQuery(benchmark::State& state) {
+  constexpr std::size_t kN = 4096;
+  const std::vector<geom::Vec2> pts = query_layout(state.range(0), kN);
+  const core::VisibilityBall ball(1.0, /*open_ball=*/false);
+  core::IncrementalGrid grid;
+  std::vector<core::VisibleRobot> out;
+  std::size_t found = 0;
+  for (auto _ : state) {
+    grid.reset(1.0, pts);
+    for (const geom::Vec2 p : pts) {
+      grid.visible_near(p, 1.0, ball, 0.0, out);
+      found += out.size();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pts.size()));
+  state.counters["found_per_query"] =
+      static_cast<double>(found) / static_cast<double>(state.iterations() * pts.size());
+}
+
 BENCHMARK(BM_FSyncGrid)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FSyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
@@ -144,5 +166,6 @@ BENCHMARK(BM_KAsyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096
 BENCHMARK(BM_KAsyncBrute)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GridQuery)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_IncrementalQuery)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -48,7 +48,6 @@ Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler&
   }
   grid_.set_cell_size(max_radius);
   if (config_.snapshot_path == SnapshotPath::kIncremental) {
-    kin_.set_track_dirty(true);
     inc_grid_.reset(max_radius, trace_.initial_configuration());
   }
 }
@@ -94,12 +93,6 @@ void Engine::snapshot_via_grid(RobotId robot, Time t, const LocalFrame& frame, S
 
 void Engine::snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& frame,
                                       Snapshot& snap) {
-  // Re-file exactly the robots whose segments changed since the last
-  // snapshot — between consecutive Look times that is the just-moved robot,
-  // not all n.
-  for (const RobotId r : kin_.dirty()) inc_grid_.update(r, kin_.segment(r));
-  kin_.clear_dirty();
-
   if (t < inc_time_) {
     // The scheduler's 1e-12 look-ordering slack can place this Look before
     // the previous one, where positions live on segments the index no
@@ -236,6 +229,10 @@ bool Engine::step() {
   ActivationRecord rec{a, self, planned, realized, snap.size()};
   if (config_.record_history) trace_.record(rec);
   kin_.commit(rec);
+  // Each commit changes one segment: re-file just that robot.
+  if (config_.snapshot_path == SnapshotPath::kIncremental) {
+    inc_grid_.update(a.robot, kin_.segment(a.robot));
+  }
   if (sink_) sink_->append(rec);
   end_time_ = std::max(end_time_, a.t_move_end);
   // A commit leaves every position at its own Look time unchanged — except

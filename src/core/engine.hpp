@@ -29,7 +29,7 @@
 //    grid (see Engine::step);
 //  * asynchronous schedulers give every Look its own time, so an
 //    IncrementalGrid keeps each robot's current segment in the cells it
-//    overlaps, re-files only the robots whose segment changed, and
+//    overlaps, re-files the committing robot right after each commit, and
 //    evaluates positions at the Look time inside its cell scan.
 //
 // run::instantiate derives the path from the scheduler key; it is not a

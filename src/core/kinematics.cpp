@@ -28,7 +28,6 @@ void KinematicState::commit(const ActivationRecord& rec) {
   TimedSegment& s = segments_.at(rec.activation.robot);
   if (keep_previous_) previous_[rec.activation.robot] = s;
   s = {rec.segment(), rec.activation.t_look};
-  if (track_dirty_) dirty_.push_back(rec.activation.robot);
 }
 
 Vec2 KinematicState::position_bounded(RobotId robot, Time t) const {

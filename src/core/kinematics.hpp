@@ -61,34 +61,17 @@ class KinematicState {
     return segments_[robot].t_look;
   }
 
-  /// The robot's current segment: what an incremental spatial index
-  /// buckets and evaluates.
+  /// The robot's current segment: what the engine files in its
+  /// IncrementalGrid right after each commit.
   [[nodiscard]] const Segment& segment(RobotId robot) const {
     return segments_[robot].segment;
   }
-
-  /// Dirty tracking for incremental index maintenance: when enabled, every
-  /// commit() records its robot id so a consumer can re-bucket exactly the
-  /// robots whose segments changed since it last drained the set. Between
-  /// two consecutive Look times that is the just-moved robot (plus any
-  /// same-time co-activators), never all n. Off by default — the reference
-  /// paths pay nothing.
-  void set_track_dirty(bool on) {
-    track_dirty_ = on;
-    if (!on) dirty_.clear();
-  }
-  /// Robots committed since the last clear_dirty(), in commit order. May
-  /// repeat a robot; consumers treat re-bucketing as idempotent.
-  [[nodiscard]] const std::vector<RobotId>& dirty() const { return dirty_; }
-  void clear_dirty() { dirty_.clear(); }
 
   [[nodiscard]] std::size_t robot_count() const { return segments_.size(); }
 
  private:
   std::vector<TimedSegment> segments_;
   std::vector<TimedSegment> previous_;  // keep_previous_ only: segment before current
-  std::vector<RobotId> dirty_;
-  bool track_dirty_ = false;
   bool keep_previous_ = false;
 };
 

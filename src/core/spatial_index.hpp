@@ -14,13 +14,17 @@
 // engine's RNG-drawing perception loop) behave identically to the O(n)
 // scan they replace.
 //
-// SpatialGrid is a dense row-major cell array over the points' cell
-// bounding box (less a few far outliers, which every query scans), filled
-// by a stable counting sort: each cell's ids and positions are contiguous,
-// so a query reads at most one run per row instead of chasing per-cell
-// lists. A rebuild is O(n + cells) with no
-// per-rebuild allocation in steady state — cheap enough to run once per
-// distinct Look time in the engine hot path.
+// Both grids file into one CellArray: a dense row-major array of cells over
+// the indexed items' cell bounding box, fitted by one rule (at most 4n + 64
+// cells: a few far items per side go to an outlier run that every query
+// scans, and a box still too large coarsens its cells) and queried through
+// one clipped column/row range per axis.
+//
+// SpatialGrid fills its array by a stable counting sort: each cell's ids
+// and positions are contiguous, so a query reads at most one run per row.
+// A rebuild is O(n + cells) with no per-rebuild allocation in steady
+// state — cheap enough to run once per distinct Look time in the engine
+// hot path.
 //
 // Rebuild-per-time is the right shape for synchronous schedulers (one
 // rebuild amortizes over a whole round of Looks), but async schedulers give
@@ -28,7 +32,7 @@
 // IncrementalGrid (below) is the persistently-maintained variant for that
 // regime: each robot's *current trajectory segment* — which covers the
 // robot's exact position at every time the segment is current — is stored
-// inline in the cells its box overlaps, so the filing changes only on
+// inline in the array cells its box overlaps, so the filing changes only on
 // commit (O(1) amortized), never per Look time, and a query evaluates
 // positions at its own time inside the cell scan.
 #pragma once
@@ -234,6 +238,19 @@ bool sort_by_id(std::vector<T>& items, IdOf id_of) {
   return true;
 }
 
+/// A dense row-major array of cells over a box of base cells (squares of
+/// the grid's cell size): its cells are 2^shift base cells on a side, and
+/// column 0 / row 0 hold cells x0 / y0 of that coarser grid. Cell
+/// (col, row) is row * width + col.
+struct CellArray {
+  int shift = 0;
+  std::int64_t x0 = 0;
+  std::int64_t y0 = 0;
+  std::size_t width = 0;
+  std::size_t height = 0;
+  [[nodiscard]] std::size_t cells() const { return width * height; }
+};
+
 class SpatialGrid {
  public:
   SpatialGrid() = default;
@@ -246,11 +263,10 @@ class SpatialGrid {
 
   /// Index a copy of `points`, replacing the previous index. O(n) cells at
   /// most: when the points' cell bounding box holds more than 4n + 64
-  /// cells, up to kOutliersPerSide extreme points per side move to an
-  /// outlier run that every query scans, if that lets the rest use finer
-  /// cells; the built cells are then 2^k base cells on a side, for the
-  /// least k that fits. Both are exact, since the predicate decides every
-  /// candidate.
+  /// cells, up to 8 extreme points per side move to an outlier run that
+  /// every query scans, if that lets the rest use finer cells; the built
+  /// cells are then 2^k base cells on a side, for the least k that fits.
+  /// Both are exact, since the predicate decides every candidate.
   void rebuild(const std::vector<geom::Vec2>& points);
 
   /// Ids (ascending) of indexed points within the closed (d <= r + 1e-12)
@@ -261,28 +277,16 @@ class SpatialGrid {
 
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
   /// Cells in the dense array of the last rebuild (<= 4 * size() + 64).
-  [[nodiscard]] std::size_t cell_count() const { return width_ * height_; }
+  [[nodiscard]] std::size_t cell_count() const { return array_.cells(); }
 
  private:
-  /// Column (x) or row (y) of the built array holding `coord`, before
-  /// clipping to the array.
-  [[nodiscard]] std::int64_t column_of(double coord, std::int64_t origin) const;
-
-  static constexpr std::size_t kOutliersPerSide = 8;
-
   double cell_ = 1.0;
   double inv_cell_ = 1.0;
 
-  // Built cells are 2^shift_ base cells on a side; column 0 / row 0 hold the
-  // built cells x0_ / y0_. Cell (col, row) is row * width_ + col, and its
-  // points are ids_/pos_[cell_start_[cell], cell_start_[cell + 1]), ids
-  // ascending; bucket width_ * height_ after the last cell is the outlier
+  // Cell c holds ids_/pos_[cell_start_[c], cell_start_[c + 1]), ids
+  // ascending; bucket array_.cells() after the last cell is the outlier
   // run.
-  int shift_ = 0;
-  std::int64_t x0_ = 0;
-  std::int64_t y0_ = 0;
-  std::size_t width_ = 0;
-  std::size_t height_ = 0;
+  CellArray array_;
   std::vector<std::size_t> cell_start_;
   std::vector<std::size_t> ids_;
   std::vector<geom::Vec2> pos_;
@@ -305,7 +309,7 @@ struct VisibleRobot {
 ///
 /// Where SpatialGrid buckets *positions at one instant* and must be rebuilt
 /// whenever the instant changes, IncrementalGrid files each robot under the
-/// grid cells overlapped by the bounding box of its current trajectory
+/// array cells overlapped by the bounding box of its current trajectory
 /// segment (from → realized). A robot's position at *every* time its
 /// segment is current — `from` before the move, the lerp during it,
 /// `realized` after — lies inside that box, so the filing only has to
@@ -318,8 +322,17 @@ struct VisibleRobot {
 /// Trace evaluate, so positions agree with theirs to the last bit — and
 /// applies the VisibilityBall right there. Members currently elsewhere
 /// along their segment fail the predicate like any far robot; results are
-/// bit-identical to a brute-force scan, exactly like SpatialGrid's clamped
-/// and coarsened cells.
+/// bit-identical to a brute-force scan, exactly like SpatialGrid's
+/// coarsened cells.
+///
+/// The array is fitted to the robots' segments by SpatialGrid's rule. A
+/// segment whose box leaves the array, or spans kMaxSegmentSpan array
+/// cells or more on an axis, goes to an outlier run that every query scans
+/// (exact KKNPS moves stay inside the initial hull, so a compact swarm has
+/// none). Once more than n / 16 segments have entered that run since the
+/// last fit, the grid refits the array to the current segments in
+/// O(n + cells), so a drifting swarm costs amortized O(1) per update and
+/// its outlier run stays short.
 ///
 /// `advance_to(t)` tightens the index as time moves forward: robots whose
 /// move ended at or before `t` sit exactly at `realized` forever after, so
@@ -330,17 +343,15 @@ struct VisibleRobot {
 /// backward queries through the reference scan instead.
 class IncrementalGrid {
  public:
-  /// Rebuild from scratch: robot r rests at `initial[r]`. Non-positive/
-  /// non-finite cell sizes fall back to 1.0, mirroring
-  /// SpatialGrid::set_cell_size.
+  /// Rebuild from scratch: robot r rests at `initial[r]`, and the array is
+  /// fitted to those positions. Non-positive/non-finite cell sizes fall
+  /// back to 1.0, mirroring SpatialGrid::set_cell_size.
   void reset(double cell_size, const std::vector<geom::Vec2>& initial);
 
   /// Replace `robot`'s segment and file it under the cells of the
-  /// segment's box; from `segment.t_move_end` onward the robot sits exactly
-  /// at `segment.realized` and advance_to may collapse it to the single end
-  /// cell. Segments spanning implausibly many cells (a teleport much longer
-  /// than the visibility radius) go to an always-scanned outlier run
-  /// instead of flooding the table.
+  /// segment's box, or in the outlier run; from `segment.t_move_end`
+  /// onward the robot sits exactly at `segment.realized` and advance_to
+  /// may collapse it to the single end cell. May refit the array.
   void update(RobotId robot, const Segment& segment);
 
   /// Collapse every robot whose move ended at or before `t` to its end
@@ -358,22 +369,29 @@ class IncrementalGrid {
 
   [[nodiscard]] std::size_t robot_count() const { return place_.size(); }
   [[nodiscard]] double cell_size() const { return cell_; }
+  /// Robots in the outlier run: at most 32 + robot_count() / 16, plus
+  /// the segments spanning kMaxSegmentSpan cells at the last fit.
+  [[nodiscard]] std::size_t outlier_count() const { return outliers_.size(); }
 
  private:
+  /// Per-axis span, in array cells, from which a segment is an outlier.
+  /// Committed moves are bounded by ~the visibility radius (= one cell
+  /// side) plus motion error, so real segments span <= 2-3 cells per axis.
+  static constexpr std::int64_t kMaxSegmentSpan = 8;
+
   /// One robot's segment, filed in one cell (or in the outlier run).
   struct Entry {
     Segment segment;
     std::uint32_t robot;
   };
-  /// Cells x0..x0+w by y0..y0+h, in the 32-bit coordinates packed into
-  /// cell keys (so the ranges wrap like the keys do).
+  /// Array columns col..col+w by rows row..row+h.
   struct Box {
-    std::uint32_t x0 = 0;
-    std::uint32_t y0 = 0;
+    std::uint32_t col = 0;
+    std::uint32_t row = 0;
     std::uint8_t w = 0;
     std::uint8_t h = 0;
-    [[nodiscard]] bool contains(std::uint32_t x, std::uint32_t y) const {
-      return x - x0 <= std::uint32_t{w} && y - y0 <= std::uint32_t{h};
+    [[nodiscard]] bool contains(std::uint32_t c, std::uint32_t r) const {
+      return c - col <= std::uint32_t{w} && r - row <= std::uint32_t{h};
     }
   };
   /// Where a robot's entries are: the cells of `box`, or outliers_[outlier].
@@ -381,37 +399,28 @@ class IncrementalGrid {
     Box box;
     std::int32_t outlier = -1;
     std::uint32_t generation = 0;  ///< bumped per update; tags settle_queue_
+    bool settled = false;          ///< filed by `realized` alone (collapsed)
   };
 
-  [[nodiscard]] std::int64_t cell_of(double coord) const;
-  /// Cells of the bounding box of `a` and `b`, or nullopt when it spans
-  /// kMaxSegmentSpan or more cells on an axis.
+  /// Array cells of the bounding box of `a` and `b`, or nullopt when it
+  /// leaves the array or spans kMaxSegmentSpan or more cells on an axis.
   [[nodiscard]] std::optional<Box> cell_box(geom::Vec2 a, geom::Vec2 b) const;
-  [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;  ///< live slot or npos
-  std::size_t find_or_insert_slot(std::uint64_t key);
-  void erase_slot(std::size_t slot);  ///< backward-shift deletion
-  void grow_table(std::size_t min_slots);
+  /// The robot's entry, from its first cell or the outlier run.
+  [[nodiscard]] const Entry& entry_of(RobotId robot) const;
   /// Re-file `e` under the cells of `to`, or in the outlier run if nullopt:
   /// overwrite it in the cells both filings share, drop it from the rest.
   void refile(const Entry& e, const std::optional<Box>& to);
-  void join(std::uint64_t key, const Entry& e);
   void drop_outlier(RobotId robot);
   void collapse(RobotId robot);
+  /// Fit the array to `entries` (every robot's, any order) and file them.
+  void refit(const std::vector<Entry>& entries);
 
   double cell_ = 1.0;
   double inv_cell_ = 1.0;
 
-  // Open-addressed cell table (linear probing, backward-shift deletion):
-  // live slots map a cell key to its index in cells_; -1 marks a free slot.
-  std::vector<std::uint64_t> table_key_;
-  std::vector<std::int32_t> table_cell_;
-  std::size_t mask_ = 0;
-  std::size_t live_cells_ = 0;
-
-  // Member entries per cell, in no particular order. A cell that empties
-  // leaves the table; its vector (and capacity) waits in free_cells_.
+  CellArray array_;
+  // Member entries per array cell, in no particular order.
   std::vector<std::vector<Entry>> cells_;
-  std::vector<std::int32_t> free_cells_;
   std::vector<Place> place_;
 
   // Pending collapses: (settle_time, robot | generation). A stale entry
@@ -422,9 +431,10 @@ class IncrementalGrid {
                       std::greater<>>
       settle_queue_;
 
-  // Entries of robots whose segment box exceeded the span cap: always
-  // scanned.
+  // Entries of robots whose segment box is outside the array or too long:
+  // always scanned. outliers_added_ counts entries since the last fit.
   std::vector<Entry> outliers_;
+  std::size_t outliers_added_ = 0;
 };
 
 }  // namespace cohesion::core

@@ -141,12 +141,16 @@ TEST(EngineEquivalence, AllIndexModesProduceIdenticalTraces) {
   // Three engines per seed — brute scan, rebuild grid, incremental grid —
   // over randomized schedulers (FSync / SSync / k-Async / k-NestA), error
   // models, visibility variants and initial configurations. All three must
-  // commit bit-identical traces.
+  // commit bit-identical traces. Seeds from 160 start from a ring (a
+  // regular polygon of side 0.9) whose cell box exceeds 4n + 64 cells, so
+  // both grids must coarsen their cell array.
   const algo::KknpsAlgorithm kknps({.k = 1});
   const algo::AndoAlgorithm ando(1.0);
-  for (std::uint64_t seed = 0; seed < 160; ++seed) {
-    const std::size_t n = 2 + seed % 31;
-    const auto initial = make_initial(seed, n, 1.0);
+  for (std::uint64_t seed = 0; seed < 172; ++seed) {
+    const bool ring = seed >= 160;
+    const std::size_t n = ring ? 128 : 2 + seed % 31;
+    const auto initial =
+        ring ? metrics::regular_polygon_configuration(n, 0.9) : make_initial(seed, n, 1.0);
     const Algorithm& algorithm = seed % 2 == 0 ? static_cast<const Algorithm&>(kknps)
                                                : static_cast<const Algorithm&>(ando);
 

@@ -16,6 +16,7 @@
 #include "core/trace.hpp"
 #include "core/visibility.hpp"
 #include "geometry/vec2.hpp"
+#include "metrics/configurations.hpp"
 
 namespace cohesion::core {
 namespace {
@@ -291,8 +292,7 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
   // the hypot predicate. Histories include zero-duration moves, degenerate
   // (nil) segments, multi-cell moves, teleports and long idle spans that
   // let settled robots collapse to their end cell; each time also gets a
-  // query whose square spans more than 64 cells (the scan-every-cell
-  // branch).
+  // query whose square covers the whole cell array.
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
     std::mt19937_64 rng(seed);
     const std::size_t n = 1 + seed % 24;
@@ -444,6 +444,70 @@ TEST(IncrementalGrid, StaleSettleEntriesAreIgnoredAfterRecommit) {
   EXPECT_EQ(got[1].offset, Vec2(0.0, 0.0));
 }
 
+TEST(IncrementalGrid, DriftingSwarmRefitsAndStaysExact) {
+  // A swarm that translates, hop by hop, ~28 cells away from the box the
+  // array was fitted to: without refits every robot would end in the
+  // outlier run. A compact lattice keeps base cells; a ring of side 0.9
+  // has a cell box over 4n + 64 cells, so its array coarsens. After every
+  // commit, queries from the mover and a few other robots (at the Look
+  // time and mid-move) must equal the brute-force oracle, and the outlier
+  // run must stay within the refit bound.
+  std::vector<Vec2> lattice;
+  for (int i = 0; i < 300; ++i) lattice.push_back({0.75 * (i % 15), 0.75 * (i / 15)});
+  const std::vector<Vec2> ring = metrics::regular_polygon_configuration(256, 0.9);
+  const std::vector<Vec2>* const layouts[] = {&lattice, &ring};
+  for (const std::vector<Vec2>* initial : layouts) {
+    const std::size_t n = initial->size();
+    const bool open_ball = initial == &ring;
+    const VisibilityBall ball(1.0, open_ball);
+    KinematicState kin(*initial);
+    IncrementalGrid inc;
+    inc.reset(1.0, *initial);
+    std::mt19937_64 rng(n);
+    std::uniform_real_distribution<double> jitter(-0.05, 0.05);
+    std::uniform_int_distribution<RobotId> pick(0, n - 1);
+    std::vector<RobotId> order(n);
+    std::iota(order.begin(), order.end(), RobotId{0});
+    std::vector<VisibleRobot> got;
+    const auto check = [&](RobotId q, Time t, const std::string& where) {
+      const Vec2 at = kin.position_at(q, t);
+      inc.visible_near(at, 1.0, ball, t, got);
+      expect_same_visible(got, brute_visible(kin, at, ball, t), where);
+    };
+    Time t = 0.0;
+    std::size_t most_outliers = 0;
+    for (int round = 0; round < 40; ++round) {
+      std::shuffle(order.begin(), order.end(), rng);
+      for (const RobotId rob : order) {
+        t += 0.1;
+        Activation a;
+        a.robot = rob;
+        a.t_look = t;
+        a.t_move_start = t;
+        a.t_move_end = t + 0.5;
+        a.realized_fraction = 1.0;
+        const Vec2 from = kin.position_at(rob, t);
+        const Vec2 to = from + Vec2{0.7 + jitter(rng), 0.35 + jitter(rng)};
+        commit(kin, inc, {a, from, to, to, 0});
+        most_outliers = std::max(most_outliers, inc.outlier_count());
+        ASSERT_LE(inc.outlier_count(), 32 + n / 16) << "n " << n << " round " << round;
+        const std::string where = "n " + std::to_string(n) + " round " + std::to_string(round);
+        for (const Time at : {t, t + 0.05}) {
+          inc.advance_to(at);
+          check(rob, at, where);
+          for (int k = 0; k < 3; ++k) check(pick(rng), at, where);
+        }
+      }
+    }
+    // The swarm left its first box, so outliers appeared and refits
+    // cleared them; every robot must still be found by every query.
+    EXPECT_GT(most_outliers, 0u) << "n " << n;
+    t += 1.0;
+    inc.advance_to(t);
+    for (RobotId q = 0; q < n; ++q) check(q, t, "settled n " + std::to_string(n));
+  }
+}
+
 /// sort_by_id against the std::sort (then std::unique) it replaces in both
 /// grids: sizes on both sides of kRankPlaceMax, ids with and without
 /// repeats (a repeated id carries one offset, as in visible_near), and a
@@ -564,34 +628,6 @@ TEST(KinematicState, MatchesTraceReplayBitExactly) {
       EXPECT_EQ(trace.activation_count(r), count);
     }
   }
-}
-
-TEST(KinematicState, DirtyTrackingRecordsCommitsSinceLastDrain) {
-  const std::vector<Vec2> initial{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}};
-  KinematicState kin(initial);
-  const auto commit = [&](RobotId r, Time look) {
-    Activation a;
-    a.robot = r;
-    a.t_look = look;
-    a.t_move_start = look;
-    a.t_move_end = look + 0.5;
-    a.realized_fraction = 1.0;
-    kin.commit({a, initial[r], initial[r], initial[r], 0});
-  };
-  commit(1, 1.0);
-  EXPECT_TRUE(kin.dirty().empty());  // off by default: reference paths pay nothing
-  kin.set_track_dirty(true);
-  commit(2, 2.0);
-  commit(0, 3.0);
-  commit(2, 4.0);
-  EXPECT_EQ(kin.dirty(), (std::vector<RobotId>{2, 0, 2}));  // commit order, repeats kept
-  kin.clear_dirty();
-  EXPECT_TRUE(kin.dirty().empty());
-  commit(1, 5.0);
-  EXPECT_EQ(kin.dirty(), (std::vector<RobotId>{1}));
-  EXPECT_EQ(kin.segment(1).t_move_end, 5.5);
-  EXPECT_EQ(kin.segment(1).from, initial[1]);
-  EXPECT_EQ(kin.segment(1).realized, initial[1]);
 }
 
 }  // namespace
